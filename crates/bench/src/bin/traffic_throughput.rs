@@ -5,11 +5,8 @@
 //! Two measurements:
 //!
 //! - **substrate microbench** — the calendar-wheel + mailbox-arena engine
-//!   ([`AsyncNetwork`]) against a frozen replica of the pre-PR-8 scheduler
-//!   (`BinaryHeap` ordered by `(due, seq)` over `BTreeMap` inboxes), both
-//!   driven through identical seeded send/step schedules at ≥ 100k
-//!   messages in flight, reporting ns/send and ns/delivery for each and
-//!   the speedup (acceptance gate: ≥ 2× on sends);
+//!   ([`AsyncNetwork`]) driven through a seeded send/step schedule at
+//!   ≥ 100k messages in flight, reporting ns/send and ns/delivery;
 //! - **routed traffic run** — a `generators::ring_with_chords` overlay of `n`
 //!   processors, greedy ring-distance routing
 //!   ([`xheal_workload::greedy_next_hop`]) forwarded hop-by-hop as real
@@ -26,7 +23,7 @@
 //! (`DistXheal::message_breakdown`), so the JSON records *where* the
 //! communication budget goes, not just its total.
 //!
-//! Output is `BENCH_traffic.json` (schema `xheal-bench-traffic/v3`,
+//! Output is `BENCH_traffic.json` (schema `xheal-bench-traffic/v4`,
 //! override the path with `--out`); `--smoke` shrinks sizes for CI. With
 //! the `bench` feature the shared counting allocator records the
 //! allocation ledger. `--trace <path>` additionally captures a fully
@@ -37,8 +34,6 @@
 //! cargo run --release -p xheal-bench --features bench --bin traffic_throughput
 //! ```
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -48,7 +43,7 @@ use xheal_bench::{alloc_count, ALLOC_COUNTING};
 use xheal_core::{Xheal, XhealConfig};
 use xheal_dist::{DistXheal, Msg};
 use xheal_graph::{generators, CsrView, NodeId};
-use xheal_sim::{AsyncConfig, AsyncNetwork, Counters, Envelope, NetworkEngine};
+use xheal_sim::{AsyncConfig, AsyncNetwork, Envelope, NetworkEngine};
 use xheal_workload::{
     bfs_distance, greedy_next_hop, route_hops, BfsScratch, RoutingRequest, TrafficGen,
 };
@@ -57,153 +52,6 @@ const KAPPA: usize = 4;
 const PLANNER_SEED: u64 = 7;
 const TRAFFIC_SEED: u64 = 0x007A_FF1C;
 const LINK_SEED: u64 = 42;
-
-// ---------------------------------------------------------------------------
-// Frozen baseline: the pre-calendar-queue scheduler, kept verbatim so the
-// speedup is measured against the real predecessor, not a strawman.
-// ---------------------------------------------------------------------------
-
-struct Scheduled<M> {
-    due: u64,
-    seq: u64,
-    doomed: bool,
-    env: Envelope<M>,
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-
-impl<M> Eq for Scheduled<M> {}
-
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
-
-/// The old heap+BTreeMap engine (pre-PR-8 `AsyncNetwork` internals).
-struct HeapNet<M> {
-    nodes: BTreeSet<NodeId>,
-    queue: BinaryHeap<Scheduled<M>>,
-    inboxes: BTreeMap<NodeId, Vec<Envelope<M>>>,
-    dropped: Vec<Envelope<M>>,
-    now: u64,
-    seq: u64,
-    rng: StdRng,
-    config: AsyncConfig,
-    counters: Counters,
-}
-
-impl<M> HeapNet<M> {
-    fn new(config: AsyncConfig) -> Self {
-        HeapNet {
-            nodes: BTreeSet::new(),
-            queue: BinaryHeap::new(),
-            inboxes: BTreeMap::new(),
-            dropped: Vec::new(),
-            now: 0,
-            seq: 0,
-            rng: StdRng::seed_from_u64(config.seed),
-            config,
-            counters: Counters::default(),
-        }
-    }
-}
-
-impl<M> NetworkEngine<M> for HeapNet<M> {
-    fn add_node(&mut self, v: NodeId) {
-        self.nodes.insert(v);
-    }
-
-    fn remove_node(&mut self, v: NodeId) {
-        self.nodes.remove(&v);
-        self.inboxes.remove(&v);
-    }
-
-    fn contains(&self, v: NodeId) -> bool {
-        self.nodes.contains(&v)
-    }
-
-    fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn send(&mut self, from: NodeId, to: NodeId, payload: M) {
-        assert!(self.nodes.contains(&from), "sender {from} not registered");
-        let mut delay = if self.config.min_latency == self.config.max_latency {
-            self.config.min_latency
-        } else {
-            // The per-link latency hash is private to xheal-sim; a seeded
-            // per-message draw costs the same and keeps both engines on
-            // identical delay distributions (each consumes its own RNG).
-            self.rng
-                .random_range(self.config.min_latency..=self.config.max_latency)
-        };
-        if self.config.jitter > 0 {
-            delay += self.rng.random_range(0..=self.config.jitter);
-        }
-        let doomed = self.config.drop_prob > 0.0 && self.rng.random_bool(self.config.drop_prob);
-        self.seq += 1;
-        self.queue.push(Scheduled {
-            due: self.now + delay,
-            seq: self.seq,
-            doomed,
-            env: Envelope { from, to, payload },
-        });
-    }
-
-    fn step(&mut self) -> usize {
-        self.now += 1;
-        self.counters.rounds += 1;
-        let mut delivered = 0;
-        while self.queue.peek().is_some_and(|s| s.due <= self.now) {
-            let s = self.queue.pop().expect("peeked");
-            if s.doomed || !self.nodes.contains(&s.env.to) {
-                self.counters.dropped += 1;
-                self.dropped.push(s.env);
-            } else {
-                self.inboxes.entry(s.env.to).or_default().push(s.env);
-                delivered += 1;
-            }
-        }
-        self.counters.messages += delivered as u64;
-        delivered
-    }
-
-    fn has_pending(&self) -> bool {
-        !self.queue.is_empty()
-    }
-
-    fn nodes_with_mail_into(&self, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend(self.inboxes.keys().copied());
-    }
-
-    fn drain_inbox_into(&mut self, v: NodeId, out: &mut Vec<Envelope<M>>) {
-        out.clear();
-        if let Some(mut inbox) = self.inboxes.remove(&v) {
-            out.append(&mut inbox);
-        }
-    }
-
-    fn drain_dropped_into(&mut self, out: &mut Vec<Envelope<M>>) {
-        out.clear();
-        out.append(&mut self.dropped);
-    }
-
-    fn counters(&self) -> Counters {
-        self.counters
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Substrate microbench
@@ -216,9 +64,9 @@ struct MicroResult {
 }
 
 /// Times `timed` sends at ≥ `preload` messages already in flight, then the
-/// full drain (step + inbox sweeps), on any engine.
-fn micro<E: NetworkEngine<RoutingRequest>>(
-    net: &mut E,
+/// full drain (step + inbox sweeps).
+fn micro(
+    net: &mut AsyncNetwork<RoutingRequest>,
     k: u64,
     preload: usize,
     timed: usize,
@@ -716,32 +564,22 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     );
 
-    // Substrate microbench: identical configs, each engine consumes its
-    // own seeded RNG through an identical send schedule.
-    let cfg = AsyncConfig::uniform(1, 8, LINK_SEED).with_jitter(4);
     println!(
         "\nsubstrate microbench: {micro_nodes} processors, {preload} preloaded \
          in flight, {timed} timed sends"
     );
-    let mut calendar: AsyncNetwork<RoutingRequest> = AsyncNetwork::new(cfg);
-    let new_r = micro(&mut calendar, micro_nodes, preload, timed);
-    let mut heap: HeapNet<RoutingRequest> = HeapNet::new(cfg);
-    let old_r = micro(&mut heap, micro_nodes, preload, timed);
+    let mut calendar: AsyncNetwork<RoutingRequest> =
+        AsyncNetwork::new(AsyncConfig::uniform(1, 8, LINK_SEED).with_jitter(4));
+    let sub = micro(&mut calendar, micro_nodes, preload, timed);
     assert_eq!(
-        new_r.delivered, old_r.delivered,
-        "schedulers disagree on delivery count"
+        sub.delivered,
+        (preload + timed) as u64,
+        "lossless substrate must deliver every send"
     );
-    let send_speedup = old_r.ns_per_send / new_r.ns_per_send;
-    let delivery_speedup = old_r.ns_per_delivery / new_r.ns_per_delivery;
     println!(
         "  calendar wheel : {:8.1} ns/send  {:8.1} ns/delivery",
-        new_r.ns_per_send, new_r.ns_per_delivery
+        sub.ns_per_send, sub.ns_per_delivery
     );
-    println!(
-        "  heap baseline  : {:8.1} ns/send  {:8.1} ns/delivery",
-        old_r.ns_per_send, old_r.ns_per_delivery
-    );
-    println!("  speedup        : {send_speedup:8.2}x send   {delivery_speedup:8.2}x delivery");
 
     let (proto_nodes, proto_dels, proto_batches) = if smoke {
         (200usize, 12usize, 2usize)
@@ -804,10 +642,6 @@ fn main() {
             "full run must route at least 1M requests"
         );
         assert!(
-            send_speedup >= 2.0,
-            "calendar queue only {send_speedup:.2}x faster than the heap baseline"
-        );
-        assert!(
             t.completed as f64 >= 0.99 * t.requests as f64,
             "delivery rate collapsed: {} of {}",
             t.completed,
@@ -833,14 +667,13 @@ fn main() {
         proto.nodes, proto.deletions, proto.batch_victims, proto.rounds, proto.messages,
     );
     let json = format!(
-        "{{\n  \"schema\": \"xheal-bench-traffic/v3\",\n  \"smoke\": {smoke},\n  \
+        "{{\n  \"schema\": \"xheal-bench-traffic/v4\",\n  \"smoke\": {smoke},\n  \
          \"protocol\": {proto_json},\n  \
          \"alloc_counting\": {ALLOC_COUNTING},\n  \"substrate\": {{\n    \
          \"nodes\": {micro_nodes},\n    \"preload_in_flight\": {preload},\n    \
          \"timed_sends\": {timed},\n    \"calendar\": {{\"ns_per_send\": {:.2}, \
-         \"ns_per_delivery\": {:.2}}},\n    \"heap_baseline\": {{\"ns_per_send\": {:.2}, \
-         \"ns_per_delivery\": {:.2}}},\n    \"send_speedup\": {:.3},\n    \
-         \"delivery_speedup\": {:.3}\n  }},\n  \"traffic\": {{\n    \
+         \"ns_per_delivery\": {:.2}}},\n    \"delivered\": {}\n  }},\n  \
+         \"traffic\": {{\n    \
          \"nodes\": {},\n    \"requests\": {},\n    \"completed\": {},\n    \
          \"lost\": {},\n    \"churn_events\": {},\n    \"rounds\": {},\n    \
          \"messages_sent\": {},\n    \"wall_seconds\": {:.3},\n    \
@@ -852,12 +685,9 @@ fn main() {
          \"p99\": {}}},\n    \
          \"stretch\": {{\"samples\": {}, \"mean\": {:.4}, \"p99\": {:.4}, \
          \"unreachable\": {}}}\n  }}\n}}\n",
-        new_r.ns_per_send,
-        new_r.ns_per_delivery,
-        old_r.ns_per_send,
-        old_r.ns_per_delivery,
-        send_speedup,
-        delivery_speedup,
+        sub.ns_per_send,
+        sub.ns_per_delivery,
+        sub.delivered,
         t.nodes,
         t.requests,
         t.completed,

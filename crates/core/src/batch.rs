@@ -163,9 +163,9 @@ impl BatchRepairPlan {
     }
 
     /// Applies all stages as grouped mutation batches through
-    /// [`xheal_graph::Graph::apply_delta`] — the memory-wall fast path.
-    /// Mutations across the prologue and every component stage accumulate
-    /// into shared sequence-ordered batches (chunked past the accumulation
+    /// [`xheal_graph::Graph::apply_delta`]. Mutations across the prologue
+    /// and every component stage accumulate into shared sequence-ordered
+    /// batches (chunked past the accumulation
     /// cap so the op buffer stays cache-resident; per-pair interleavings
     /// such as the prologue detaching an edge a later stage re-adds stay
     /// bit-identical to stage-by-stage application), and the
@@ -177,14 +177,7 @@ impl BatchRepairPlan {
         sinks: &mut crate::engine::SinkRegistry,
         scratch: &mut crate::plan::ApplyScratch,
     ) {
-        scratch.begin();
-        for action in self.actions() {
-            if scratch.should_flush() {
-                scratch.flush(graph, sinks);
-            }
-            scratch.push_action(action);
-        }
-        scratch.flush(graph, sinks);
+        scratch.apply_actions(self.actions(), graph, sinks);
     }
 }
 

@@ -14,21 +14,20 @@
 use std::collections::BTreeSet;
 
 use xheal_expander::EdgeDelta;
-use xheal_graph::{CloudColor, CloudKind, DeltaScratch, EdgeMutation, Graph, NodeId};
+use xheal_graph::{CloudColor, CloudKind, EdgeMutation, Graph, NodeId};
 
 use crate::engine::{SinkRegistry, TopologyDelta};
 use crate::stats::{DeletionReport, HealCase};
 
 /// Reusable working memory for grouped plan application
 /// ([`RepairPlan::apply_streamed_with`] and the batch flush): the flattened
-/// mutation list, the materialized delta slice for sink emission, and the
-/// graph-level [`DeltaScratch`]. Executors own one and thread it through
-/// their hot loops so steady-state plan application allocates nothing.
+/// mutation list and the materialized delta slice for sink emission.
+/// Executors own one and thread it through their hot loops so steady-state
+/// plan application allocates nothing.
 #[derive(Debug, Default)]
 pub struct ApplyScratch {
     ops: Vec<EdgeMutation>,
     deltas: Vec<TopologyDelta>,
-    graph: DeltaScratch,
 }
 
 /// Accumulation cap (in mutations) before an intermediate flush. Mature
@@ -41,15 +40,23 @@ pub struct ApplyScratch {
 const FLUSH_CAP: usize = 4096;
 
 impl ApplyScratch {
-    /// Resets the accumulated mutation batch (buffer capacity is kept).
-    pub(crate) fn begin(&mut self) {
+    /// Applies `actions` in order as grouped mutation batches: one flush
+    /// for typical plans, sequence-ordered chunks of about [`FLUSH_CAP`]
+    /// mutations (split between actions) for larger ones.
+    pub(crate) fn apply_actions<'a>(
+        &mut self,
+        actions: impl IntoIterator<Item = &'a PlanAction>,
+        graph: &mut Graph,
+        sinks: &mut SinkRegistry,
+    ) {
         self.ops.clear();
-    }
-
-    /// Whether the accumulated batch has outgrown [`FLUSH_CAP`] and should
-    /// be flushed before the next action is pushed.
-    pub(crate) fn should_flush(&self) -> bool {
-        self.ops.len() >= FLUSH_CAP
+        for action in actions {
+            if self.ops.len() >= FLUSH_CAP {
+                self.flush(graph, sinks);
+            }
+            self.push_action(action);
+        }
+        self.flush(graph, sinks);
     }
 
     /// Flushes the accumulated mutation batch in `self.ops` through
@@ -58,12 +65,12 @@ impl ApplyScratch {
     ///
     /// With no sinks registered the delta slice is never materialized —
     /// one branch per flush instead of one check per mutation.
-    pub(crate) fn flush(&mut self, graph: &mut Graph, sinks: &mut SinkRegistry) {
+    fn flush(&mut self, graph: &mut Graph, sinks: &mut SinkRegistry) {
         if self.ops.is_empty() {
             return;
         }
         graph
-            .apply_delta(&self.ops, &mut self.graph)
+            .apply_delta(&self.ops)
             .expect("cloud members are live nodes");
         if !sinks.is_empty() {
             self.deltas.clear();
@@ -90,7 +97,7 @@ impl ApplyScratch {
 
     /// Appends one action's edge rewiring (strips first, then adds — the
     /// exact order the sequential path applies and emits).
-    pub(crate) fn push_action(&mut self, action: &PlanAction) {
+    fn push_action(&mut self, action: &PlanAction) {
         let color = Some(action.color());
         let delta = action.delta();
         self.ops.reserve(delta.removed.len() + delta.added.len());
@@ -328,14 +335,7 @@ impl RepairPlan {
         sinks: &mut SinkRegistry,
         scratch: &mut ApplyScratch,
     ) {
-        scratch.begin();
-        for action in &self.actions {
-            if scratch.should_flush() {
-                scratch.flush(graph, sinks);
-            }
-            scratch.push_action(action);
-        }
-        scratch.flush(graph, sinks);
+        scratch.apply_actions(&self.actions, graph, sinks);
     }
 
     /// The largest member set among clouds this plan builds (0 when none):

@@ -13,9 +13,9 @@
 //! grows the arena beyond the peak population. A side `BTreeSet` keeps the
 //! deterministic ascending-`NodeId` iteration order the seeded experiments
 //! replay against — [`Graph::nodes`] and [`Graph::edges`] enumerate in
-//! exactly the order the seed `BTreeMap` representation did (preserved
-//! verbatim as [`crate::baseline::BaselineGraph`] and proven equivalent by
-//! the model-based suite in `tests/model.rs`).
+//! exactly the order the seed `BTreeMap` representation did (a test-only
+//! copy of it in `baseline.rs` proves the equivalence by model-based
+//! property tests).
 //!
 //! Algorithms that sweep whole neighborhoods (BFS, Laplacians, cut
 //! enumeration) should grab a [`Graph::csr_view`] snapshot once and work in
@@ -102,9 +102,9 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<Fx
 /// hot-path id→slot lookup into one array read — sequential for the sorted
 /// bulk edge deltas the healer applies. Arbitrary large ids still work
 /// through the spill map. The limit caps the dense table at 64 MiB
-/// (16M ids × 4 bytes) — roomy enough that the 8M-node memory-wall
-/// benchmark rows stay entirely on the one-array-read path, small enough
-/// that a single pathological id cannot balloon the interner.
+/// (16M ids × 4 bytes) — roomy enough that multi-million-node graphs stay
+/// entirely on the one-array-read path, small enough that a single
+/// pathological id cannot balloon the interner.
 const DENSE_ID_LIMIT: u64 = 1 << 24;
 
 const ABSENT: u32 = u32::MAX;
@@ -319,69 +319,6 @@ impl NbrList {
             f(nbr);
         }
     }
-
-    /// Replaces the contents with the (sorted) entries drained from
-    /// `entries`, reusing the tail's existing capacity.
-    fn assign(&mut self, entries: &mut Vec<Nbr>) {
-        let old_hl = self.head_len as usize;
-        self.tail.clear();
-        let hl = entries.len().min(NBR_INLINE);
-        let mut it = entries.drain(..);
-        for slot in &mut self.head[..hl] {
-            *slot = it.next().expect("drain yields hl entries");
-        }
-        self.tail.extend(it);
-        self.head_len = hl as u8;
-        if old_hl > hl {
-            for slot in &mut self.head[hl..old_hl] {
-                *slot = Nbr::default();
-            }
-        }
-        debug_assert!(self.tail.is_empty() || self.head_len as usize == NBR_INLINE);
-    }
-
-    /// Issues a best-effort software prefetch of the spilled tail buffer.
-    #[inline]
-    fn prefetch_tail(&self) {
-        if !self.tail.is_empty() {
-            prefetch_read(self.tail.as_ptr());
-        }
-    }
-}
-
-/// Best-effort software prefetch of the cache line at `p` into all levels.
-///
-/// On x86_64 this lowers to `prefetcht0`; elsewhere it is a plain hint-free
-/// no-op. Prefetching is advisory — it never faults and never changes
-/// observable state — which is why this is the crate's single sanctioned
-/// `unsafe` block (`_mm_prefetch` is an `unsafe fn` purely because it takes a
-/// raw pointer; it performs no memory access in the abstract-machine sense).
-#[inline]
-#[allow(unsafe_code)]
-fn prefetch_read<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch instructions are hints; any address, valid or not, is
-    // architecturally safe to prefetch and no Rust memory access occurs.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p.cast::<i8>());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = p;
-    }
-}
-
-/// Prefetches every cache line of a slot record (the inline neighbor head
-/// spans several lines). Pure address arithmetic — the slot's memory is not
-/// read, so this is safe to issue far ahead on still-cold records.
-#[inline]
-fn prefetch_slot_lines(slot: &Slot) {
-    let p = (slot as *const Slot).cast::<u8>();
-    let mut off = 0;
-    while off < std::mem::size_of::<Slot>() {
-        prefetch_read(p.wrapping_add(off));
-        off += 64;
-    }
 }
 
 /// Byte threshold above which a buffer is worth backing with transparent
@@ -392,14 +329,16 @@ const HUGE_ADVISE_BYTES: usize = 1 << 25; // 32 MiB
 /// Advises the kernel to back `capacity` elements at `buf` with
 /// transparent huge pages (`madvise(MADV_HUGEPAGE)`).
 ///
-/// At arena scale (hundreds of MB) a random slot probe misses the TLB on
-/// essentially every access under 4 KiB pages, and x86 cores drop software
-/// prefetches whose address translation misses — so the prefetch pipeline
-/// in [`Graph::apply_delta`] only covers DRAM latency once the arena sits
-/// on 2 MiB pages. Must be issued while the buffer is still *untouched*
-/// (a fresh `with_capacity` allocation): THP in its default `madvise` mode
-/// materializes huge pages at first fault, and upgrades already-faulted
-/// 4 KiB pages only at khugepaged's leisure.
+/// Healing touches slots at random: each repair reads and rewrites the
+/// neighbor lists of a handful of nodes scattered across the arena. A
+/// 4 KiB-page TLB covers only a few MiB, so once the arena outgrows that
+/// nearly every such access also pays a page walk; on 2 MiB pages the
+/// same TLB covers hundreds of MiB. A `Slot` is 272 bytes, so an arena of
+/// ~125k slots already crosses [`HUGE_ADVISE_BYTES`]. Must be issued
+/// while the buffer is still *untouched* (a fresh `with_capacity`
+/// allocation): THP in its `madvise` mode materializes huge pages at first
+/// fault, and upgrades already-faulted 4 KiB pages only at khugepaged's
+/// leisure.
 ///
 /// Purely advisory — on non-Linux targets, kernels with THP disabled, or
 /// buffers below [`HUGE_ADVISE_BYTES`] this is a no-op and any syscall
@@ -487,8 +426,8 @@ impl Clone for Graph {
     /// and dense-index buffers *before* populating them — a derived clone
     /// would first-touch every page with 4 KiB faults, and THP's
     /// `madvise` mode never upgrades those retroactively in time to
-    /// matter. Benchmarks clone a prototype graph per trial, so this is
-    /// where arena paging for the measured copy is actually decided.
+    /// matter. Benchmarks clone a prototype graph per trial or pass, so
+    /// this is where arena paging for the measured copy is decided.
     fn clone(&self) -> Self {
         let mut slots: Vec<Slot> = Vec::with_capacity(self.slots.len());
         advise_huge_pages(slots.as_ptr(), slots.capacity());
@@ -564,11 +503,12 @@ impl Graph {
 
     /// Creates an empty graph pre-sized for `n` sequentially numbered
     /// nodes: the slot arena and the dense id→slot table are reserved up
-    /// front and, at arena scale, advised toward transparent huge pages
-    /// (via `madvise(MADV_HUGEPAGE)` — the request only helps if it precedes
-    /// first touch). Generators and bulk loaders should start here; graphs
-    /// built incrementally from [`Graph::new`] behave identically but may
-    /// leave a large arena on 4 KiB pages.
+    /// front and, past 32 MiB, advised toward transparent huge pages (via
+    /// `madvise(MADV_HUGEPAGE)` — the request only helps if it precedes
+    /// first touch), so healing's random slot accesses stay within TLB
+    /// reach. Generators and bulk loaders should start here; graphs built
+    /// incrementally from [`Graph::new`] behave identically but may leave a
+    /// large arena on 4 KiB pages.
     #[must_use]
     pub fn with_node_capacity(n: usize) -> Self {
         let mut g = Graph::default();
@@ -1103,8 +1043,7 @@ impl Graph {
         Ok(())
     }
 
-    /// Applies a whole batch of edge-label mutations in one grouped pass —
-    /// the memory-wall fast path for plan application.
+    /// Applies a whole batch of edge-label mutations, validated as one unit.
     ///
     /// Semantically this is *exactly* the sequential loop
     ///
@@ -1119,24 +1058,11 @@ impl Graph {
     /// }
     /// ```
     ///
-    /// with all endpoint validation hoisted in front of the first mutation.
-    /// Every mutation is split into its two half-edges up front, then the
-    /// half-ops are applied through one of two regimes picked by arena size:
-    ///
-    /// - **Cache-resident arenas** (below [`SORTED_APPLY_MIN_SLOTS`] slots):
-    ///   half-ops are applied as point edits in original sequence order.
-    ///   With every slot a cache hit there is no memory latency to hide, so
-    ///   grouping machinery (a sort, prefetch instructions) would be pure
-    ///   overhead — measured as a 10–25 % regression at n ≤ 50k.
-    /// - **DRAM-bound arenas**: half-ops are sorted by `(slot, neighbor,
-    ///   sequence)` and each touched neighbor list is walked once — point
-    ///   edits for small groups, a single merge rewrite for list-sized
-    ///   ones — under a paced two-stage software-prefetch pipeline that
-    ///   keeps many slot misses in flight.
-    ///
-    /// Both regimes apply per-pair op runs in original sequence order, so
-    /// interleavings like add-then-strip of the same color are bit-identical
-    /// to the loop above (and to each other — see the equivalence tests).
+    /// with all endpoint validation hoisted in front of the first mutation,
+    /// so a rejected batch leaves the graph untouched. The mutations are
+    /// then applied in sequence order, each as two point edits (one per
+    /// endpoint's neighbor list), so interleavings like add-then-strip of
+    /// the same color land exactly as in the loop above.
     ///
     /// Like the sequential loop, strips tolerate absent endpoints and absent
     /// labels (the no-op cases of [`Graph::strip_color`]).
@@ -1150,202 +1076,37 @@ impl Graph {
     /// # Examples
     ///
     /// ```
-    /// use xheal_graph::{DeltaScratch, EdgeMutation, Graph, NodeId};
+    /// use xheal_graph::{EdgeMutation, Graph, NodeId};
     /// let mut g = Graph::new();
     /// let (a, b) = (NodeId::new(0), NodeId::new(1));
     /// g.add_node(a)?;
     /// g.add_node(b)?;
-    /// let mut scratch = DeltaScratch::default();
-    /// g.apply_delta(&[EdgeMutation::add_black(a, b)], &mut scratch)?;
+    /// g.apply_delta(&[EdgeMutation::add_black(a, b)])?;
     /// assert!(g.has_edge(a, b));
     /// # Ok::<(), xheal_graph::GraphError>(())
     /// ```
-    pub fn apply_delta(
-        &mut self,
-        ops: &[EdgeMutation],
-        scratch: &mut DeltaScratch,
-    ) -> Result<(), GraphError> {
-        if self.slots.len() < SORTED_APPLY_MIN_SLOTS {
-            // Validation barrier only — the cache-resident regime applies
-            // straight from `ops` without materializing half-op buffers.
-            for op in ops {
-                if op.add {
-                    if op.a == op.b {
-                        return Err(GraphError::SelfLoop(op.a));
-                    }
-                    self.index.get(op.a).ok_or(GraphError::NodeMissing(op.a))?;
-                    self.index.get(op.b).ok_or(GraphError::NodeMissing(op.b))?;
-                }
-            }
-            self.apply_ordered(ops);
-        } else {
-            self.build_half_ops(ops, scratch)?;
-            self.apply_sorted(scratch);
+    pub fn apply_delta(&mut self, ops: &[EdgeMutation]) -> Result<(), GraphError> {
+        for op in ops.iter().filter(|op| op.add) {
+            self.check_endpoints(op.a, op.b)?;
         }
-        Ok(())
-    }
-
-    /// Validates `ops` and splits each into its two half-edges, filling
-    /// `scratch.half_ops` plus `scratch.order` (packed `slot << 32 | index`
-    /// words in mutation order). No mutation happens here — this is the
-    /// up-front validation barrier shared by both application regimes.
-    fn build_half_ops(
-        &self,
-        ops: &[EdgeMutation],
-        scratch: &mut DeltaScratch,
-    ) -> Result<(), GraphError> {
-        let DeltaScratch {
-            half_ops, order, ..
-        } = scratch;
-        half_ops.clear();
-        half_ops.reserve(ops.len() * 2);
-        order.clear();
-        order.reserve(ops.len() * 2);
-        for op in ops {
-            let (sa, sb) = if op.add {
-                if op.a == op.b {
-                    return Err(GraphError::SelfLoop(op.a));
-                }
-                (
-                    self.index.get(op.a).ok_or(GraphError::NodeMissing(op.a))?,
-                    self.index.get(op.b).ok_or(GraphError::NodeMissing(op.b))?,
-                )
-            } else {
-                // Strip: a no-op unless both endpoints (and thus possibly
-                // the edge) are present — mirrors `strip_color` tolerance.
-                match (self.index.get(op.a), self.index.get(op.b)) {
-                    (Some(sa), Some(sb)) if op.a != op.b => (sa, sb),
-                    _ => continue,
-                }
-            };
-            let ix = half_ops.len() as u64;
-            half_ops.push(HalfOp {
-                other: op.b,
-                other_slot: sb,
-                color: op.color,
-                add: op.add,
-            });
-            half_ops.push(HalfOp {
-                other: op.a,
-                other_slot: sa,
-                color: op.color,
-                add: op.add,
-            });
-            order.push((sa as u64) << 32 | ix);
-            order.push((sb as u64) << 32 | (ix + 1));
-        }
-        Ok(())
-    }
-
-    /// Cache-resident application regime: walk the mutations in original
-    /// order, applying each endpoint as a point edit. Identical work to the
-    /// public per-op mutators (callers must have validated adds already);
-    /// the second index resolution is an L1 hit after the validation pass.
-    fn apply_ordered(&mut self, ops: &[EdgeMutation]) {
         let mut edge_delta = 0isize;
         for op in ops {
+            // Strips whose endpoints are absent or equal are no-ops, as in
+            // `strip_color`; adds were validated above.
             let (sa, sb) = match (self.index.get(op.a), self.index.get(op.b)) {
                 (Some(sa), Some(sb)) if op.a != op.b => (sa, sb),
                 _ => continue,
             };
-            edge_delta += self.point_op(
-                sa,
-                &HalfOp {
-                    other: op.b,
-                    other_slot: sb,
-                    color: op.color,
-                    add: op.add,
-                },
-            );
-            edge_delta += self.point_op(
-                sb,
-                &HalfOp {
-                    other: op.a,
-                    other_slot: sa,
-                    color: op.color,
-                    add: op.add,
-                },
-            );
+            edge_delta += self.point_op(sa, op.b, sb, op);
+            edge_delta += self.point_op(sb, op.a, sa, op);
         }
         self.edge_count = (self.edge_count as isize + edge_delta) as usize;
+        Ok(())
     }
 
-    /// DRAM-bound application regime: group half-ops by endpoint slot and
-    /// walk each touched slot once under a software-prefetch pipeline.
-    fn apply_sorted(&mut self, scratch: &mut DeltaScratch) {
-        let DeltaScratch {
-            half_ops,
-            order,
-            group_buf,
-            merged,
-        } = scratch;
-        // Half-op indices ascend with mutation sequence, so this one cheap
-        // word sort yields slot groups whose members are already in
-        // original mutation order.
-        order.sort_unstable();
-
-        // Two-stage prefetch pipeline, distances in order-words. FAR: fetch
-        // all lines of an upcoming slot by address alone (no read of cold
-        // memory). NEAR: by now that slot's header is resident, so chasing
-        // its spilled-tail pointer is cheap and puts the second dependent
-        // line in flight too. Keeps many misses overlapped even though each
-        // group's work is tiny. Issuing the slot prefetches paced with the
-        // walk (rather than in one burst up front) matters: a burst
-        // overruns the core's line-fill buffers and the excess prefetches
-        // are silently dropped.
-        const NEAR: usize = 8;
-        const FAR: usize = 32;
-        for &w in order.iter().take(FAR) {
-            prefetch_slot_lines(&self.slots[(w >> 32) as usize]);
-        }
-        let mut edge_delta = 0isize;
-        let mut i = 0;
-        while i < order.len() {
-            let slot = (order[i] >> 32) as u32;
-            let mut j = i + 1;
-            while j < order.len() && (order[j] >> 32) as u32 == slot {
-                j += 1;
-            }
-            if let Some(&w) = order.get(i + FAR) {
-                prefetch_slot_lines(&self.slots[(w >> 32) as usize]);
-            }
-            if let Some(&w) = order.get(i + NEAR) {
-                self.slots[(w >> 32) as usize].nbrs.prefetch_tail();
-            }
-            // Hybrid dispatch: small groups are applied as point edits
-            // (binary search + in-place label update each, in sequence
-            // order — correct because ops on distinct pairs commute and
-            // same-pair ops stay ordered). A point insert or removal pays
-            // an O(degree) memmove in the sorted list, so once a group has
-            // a handful of members — or matches the list's own length —
-            // one merge rewrite of the whole list is cheaper than repeated
-            // searches and shifts.
-            const MERGE_GROUP_MIN: usize = 4;
-            if j - i < MERGE_GROUP_MIN.min(self.slots[slot as usize].nbrs.len().max(1)) {
-                for &word in &order[i..j] {
-                    edge_delta += self.point_op(slot, &half_ops[(word & IX_MASK) as usize]);
-                }
-            } else {
-                // The merge walk needs `(neighbor, seq)` order; the packed
-                // word's low half is the index (= sequence) tiebreak, so
-                // the unstable sort is deterministic.
-                order[i..j].sort_unstable_by_key(|&w| (half_ops[(w & IX_MASK) as usize].other, w));
-                group_buf.clear();
-                group_buf.extend(
-                    order[i..j]
-                        .iter()
-                        .map(|&w| half_ops[(w & IX_MASK) as usize]),
-                );
-                edge_delta += self.merge_slot(slot, group_buf, merged);
-            }
-            i = j;
-        }
-        self.edge_count = (self.edge_count as isize + edge_delta) as usize;
-    }
-
-    /// Applies one half-op to a label set.
+    /// Applies one mutation's label change to a label set.
     #[inline]
-    fn apply_op(labels: &mut EdgeLabels, op: &HalfOp) {
+    fn apply_op(labels: &mut EdgeLabels, op: &EdgeMutation) {
         match (op.add, op.color) {
             (true, Some(c)) => {
                 labels.add_color(c);
@@ -1358,21 +1119,19 @@ impl Graph {
         }
     }
 
-    /// Replays one pair's run of half-ops onto its label set, in original
-    /// sequence order (the merge path sorts runs by `(neighbor, seq)`).
-    fn replay_ops(labels: &mut EdgeLabels, run: &[HalfOp]) {
-        for op in run {
-            Self::apply_op(labels, op);
-        }
-    }
-
-    /// Applies one half-op to its slot in place — a binary search and an
-    /// in-place label update (plus at most one insert/remove shift) —
-    /// skipping the full-list rewrite of [`Graph::merge_slot`]. Same
-    /// edge-count convention: only the canonical (`owner < neighbor`) half
-    /// reports the net change.
-    fn point_op(&mut self, slot_ix: u32, op: &HalfOp) -> isize {
-        let other = op.other;
+    /// Applies `op`'s label change to the half-edge from slot `slot_ix` to
+    /// `other` (whose slot is `other_slot`) in place — a binary search and
+    /// an in-place label update, plus at most one insert/remove shift.
+    /// Returns the net change in undirected edge count, reported only by
+    /// the canonical (`owner < other`) half so the two halves of one
+    /// mutation count each edge once.
+    fn point_op(
+        &mut self,
+        slot_ix: u32,
+        other: NodeId,
+        other_slot: u32,
+        op: &EdgeMutation,
+    ) -> isize {
         let slot = &mut self.slots[slot_ix as usize];
         let owner = slot.node;
         match slot.nbrs.search(other) {
@@ -1406,71 +1165,13 @@ impl Graph {
                     p,
                     Nbr {
                         id: other,
-                        slot: op.other_slot,
+                        slot: other_slot,
                         labels,
                     },
                 );
                 (owner < other) as isize
             }
         }
-    }
-
-    /// Rewrites one slot's neighbor list by merging a sorted run of half-ops
-    /// into it. Returns the net change in undirected edge count, counted
-    /// only on the canonical (`owner < neighbor`) half so the two mirrored
-    /// walks contribute exactly once per edge.
-    fn merge_slot(&mut self, slot_ix: u32, group: &[HalfOp], merged: &mut Vec<Nbr>) -> isize {
-        let slot = &mut self.slots[slot_ix as usize];
-        let owner = slot.node;
-        let mut old = std::mem::take(&mut slot.nbrs);
-        merged.clear();
-        merged.reserve(old.len() + group.len());
-
-        let (mut edge_delta, mut black_delta) = (0isize, 0i64);
-        let (mut oi, mut gi) = (0usize, 0usize);
-        let old_len = old.len();
-        while gi < group.len() {
-            let other = group[gi].other;
-            let mut ge = gi + 1;
-            while ge < group.len() && group[ge].other == other {
-                ge += 1;
-            }
-            while oi < old_len && old.get(oi).id < other {
-                merged.push(std::mem::take(old.get_mut(oi)));
-                oi += 1;
-            }
-            let (mut labels, other_slot, existed) = if oi < old_len && old.get(oi).id == other {
-                let e = std::mem::take(old.get_mut(oi));
-                oi += 1;
-                (e.labels, e.slot, true)
-            } else {
-                (EdgeLabels::empty(), group[gi].other_slot, false)
-            };
-            let was_black = labels.is_black();
-            Self::replay_ops(&mut labels, &group[gi..ge]);
-            black_delta += labels.is_black() as i64 - was_black as i64;
-            if owner < other {
-                edge_delta += !labels.is_empty() as isize - existed as isize;
-            }
-            if !labels.is_empty() {
-                merged.push(Nbr {
-                    id: other,
-                    slot: other_slot,
-                    labels,
-                });
-            }
-            gi = ge;
-        }
-        while oi < old_len {
-            merged.push(std::mem::take(old.get_mut(oi)));
-            oi += 1;
-        }
-
-        old.assign(merged);
-        let slot = &mut self.slots[slot_ix as usize];
-        slot.nbrs = old;
-        slot.black_degree = (slot.black_degree as i64 + black_delta) as u32;
-        edge_delta
     }
 }
 
@@ -1532,53 +1233,6 @@ impl EdgeMutation {
             color: Some(c),
             add: false,
         }
-    }
-}
-
-/// Arena-size threshold (in slots) above which [`Graph::apply_delta`]
-/// switches from in-order point application to the sorted, prefetched
-/// grouped walk. Two million ~96-byte slot records put the arena near or
-/// past even a large server LLC, which is exactly when slot accesses start
-/// missing to DRAM and the grouped walk's overlapped misses pay for the
-/// sort; below that the whole arena is cache-resident and out-of-order
-/// execution already overlaps independent point edits for free.
-pub const SORTED_APPLY_MIN_SLOTS: usize = 1 << 21;
-
-/// One half of an [`EdgeMutation`], bucketed to its owning slot.
-///
-/// The owning slot and the sequence position are *not* stored here: the
-/// bulk sort orders a parallel array of packed `slot << 32 | index` words
-/// (see [`Graph::apply_delta`]), so the sort moves 8 bytes per half-op
-/// instead of this whole record.
-#[derive(Clone, Copy, Debug)]
-struct HalfOp {
-    other: NodeId,
-    other_slot: u32,
-    color: Option<CloudColor>,
-    add: bool,
-}
-
-/// Mask extracting the half-op index from a packed order word.
-const IX_MASK: u64 = 0xFFFF_FFFF;
-
-/// Reusable working memory for [`Graph::apply_delta`]: the half-op sort
-/// arena and the merge output buffer. Thread one of these through an
-/// executor's hot loop so steady-state bulk application allocates nothing.
-#[derive(Debug, Default)]
-pub struct DeltaScratch {
-    half_ops: Vec<HalfOp>,
-    /// Packed `slot << 32 | half_op_index` words — the 8-byte sort arena.
-    order: Vec<u64>,
-    /// Gather buffer for merge-path slot groups, in `(neighbor, seq)` order.
-    group_buf: Vec<HalfOp>,
-    merged: Vec<Nbr>,
-}
-
-impl Clone for DeltaScratch {
-    /// Cloning yields a fresh, empty scratch: contents are transient
-    /// per-batch working state, not data.
-    fn clone(&self) -> Self {
-        DeltaScratch::default()
     }
 }
 
@@ -1948,12 +1602,9 @@ mod tests {
     }
 
     fn assert_bulk_matches_sequential(seed: &Graph, ops: &[EdgeMutation]) {
-        // Public entry point: at test sizes this dispatches to the in-order
-        // point-edit regime.
         let mut bulk = seed.clone();
         let mut seq = seed.clone();
-        let mut scratch = DeltaScratch::default();
-        bulk.apply_delta(ops, &mut scratch).unwrap();
+        bulk.apply_delta(ops).unwrap();
         apply_sequential(&mut seq, ops);
         bulk.validate().unwrap();
         assert_eq!(bulk, seq);
@@ -1961,21 +1612,13 @@ mod tests {
         for v in seq.node_vec() {
             assert_eq!(bulk.black_degree(v), seq.black_degree(v), "black deg {v}");
         }
-        // Forced sorted regime (what DRAM-sized arenas run): must be
-        // bit-identical to both of the above on any graph.
-        let mut sorted = seed.clone();
-        sorted.build_half_ops(ops, &mut scratch).unwrap();
-        sorted.apply_sorted(&mut scratch);
-        sorted.validate().unwrap();
-        assert_eq!(sorted, seq, "sorted regime diverged from sequential");
-        assert_eq!(sorted.edge_count(), seq.edge_count());
     }
 
     #[test]
     fn apply_delta_empty_batch_is_noop() {
         let mut g = triangle();
         let before = g.clone();
-        g.apply_delta(&[], &mut DeltaScratch::default()).unwrap();
+        g.apply_delta(&[]).unwrap();
         assert_eq!(g, before);
     }
 
@@ -2002,9 +1645,9 @@ mod tests {
 
     #[test]
     fn apply_delta_add_then_strip_same_color_in_one_batch() {
-        // The regression the seq-ordered merge exists for: a batch plan can
-        // add a splice edge and strip that same (pair, color) later in the
-        // same flush. "All strips then all adds" would leave the edge alive.
+        // Why application keeps sequence order: a batch plan can add a
+        // splice edge and strip that same (pair, color) later in the same
+        // flush. "All strips then all adds" would leave the edge alive.
         let g = triangle();
         let c = CloudColor::new(9);
         let ops = vec![
@@ -2035,8 +1678,7 @@ mod tests {
         ];
         assert_bulk_matches_sequential(&g, &ops);
         let mut bulk = g.clone();
-        bulk.apply_delta(&ops, &mut DeltaScratch::default())
-            .unwrap();
+        bulk.apply_delta(&ops).unwrap();
         assert_eq!(bulk.edge_count(), 0);
     }
 
@@ -2055,20 +1697,16 @@ mod tests {
     fn apply_delta_rejects_bad_adds_before_mutating() {
         let mut g = triangle();
         let before = g.clone();
-        let mut scratch = DeltaScratch::default();
         let err = g
-            .apply_delta(
-                &[
-                    EdgeMutation::strip_black(n(0), n(1)),
-                    EdgeMutation::add_black(n(0), n(42)),
-                ],
-                &mut scratch,
-            )
+            .apply_delta(&[
+                EdgeMutation::strip_black(n(0), n(1)),
+                EdgeMutation::add_black(n(0), n(42)),
+            ])
             .unwrap_err();
         assert_eq!(err, GraphError::NodeMissing(n(42)));
         assert_eq!(g, before, "failed batch must not partially apply");
         let err = g
-            .apply_delta(&[EdgeMutation::add_black(n(1), n(1))], &mut scratch)
+            .apply_delta(&[EdgeMutation::add_black(n(1), n(1))])
             .unwrap_err();
         assert_eq!(err, GraphError::SelfLoop(n(1)));
         assert_eq!(g, before);
@@ -2087,9 +1725,7 @@ mod tests {
             .collect();
         assert_bulk_matches_sequential(&g, &grow);
         let mut grown = g.clone();
-        grown
-            .apply_delta(&grow, &mut DeltaScratch::default())
-            .unwrap();
+        grown.apply_delta(&grow).unwrap();
         assert_eq!(grown.degree(n(0)), Some(9));
         let shrink: Vec<EdgeMutation> = (1..8)
             .map(|i| EdgeMutation::strip_black(n(0), n(i)))

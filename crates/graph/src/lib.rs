@@ -35,10 +35,10 @@
 //! # Ok::<(), xheal_graph::GraphError>(())
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the software
-// prefetch intrinsic behind `graph::prefetch_read`, which needs an `unsafe`
-// intrinsic call on x86_64 (see its safety comment). Everything else in the
-// crate must stay safe code.
+// `deny` rather than `forbid`: the one sanctioned exception is the raw
+// `madvise` syscall behind `graph::advise_huge_pages`, an `asm!` block on
+// x86_64 Linux (see its safety comment). Everything else in the crate must
+// stay safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -46,15 +46,15 @@ mod graph;
 mod ids;
 mod labels;
 
-pub mod baseline;
+/// The seed `BTreeMap` representation, kept as the model for the arena's
+/// property tests.
+#[cfg(test)]
+mod baseline;
 pub mod components;
 pub mod cuts;
 pub mod generators;
 pub mod traversal;
 
-pub use graph::{
-    CsrView, DeltaScratch, EdgeMutation, FxHashMap, FxHasher, Graph, GraphError,
-    SORTED_APPLY_MIN_SLOTS,
-};
+pub use graph::{CsrView, EdgeMutation, FxHashMap, FxHasher, Graph, GraphError};
 pub use ids::{IdAllocator, NodeId};
 pub use labels::{CloudColor, CloudKind, EdgeLabels};

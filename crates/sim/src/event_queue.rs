@@ -33,7 +33,7 @@
 //!   seq order.
 //!
 //! The old heap engine survives behind `#[cfg(test)]` as
-//! [`heap_oracle::HeapNetwork`]; property tests in this module drive both
+//! [`heap_oracle::HeapOracle`]; property tests in this module drive both
 //! schedulers through identical seeded traffic (latency spreads, jitter,
 //! drop faults, mid-flight node removals) and assert bit-identical
 //! arrival streams and counters.
@@ -444,7 +444,7 @@ mod heap_oracle {
     }
 
     /// The old heap-scheduled engine (see the module docs).
-    pub(crate) struct HeapNetwork<M> {
+    pub(crate) struct HeapOracle<M> {
         nodes: BTreeSet<NodeId>,
         queue: BinaryHeap<Scheduled<M>>,
         inboxes: BTreeMap<NodeId, Vec<Envelope<M>>>,
@@ -456,9 +456,9 @@ mod heap_oracle {
         counters: Counters,
     }
 
-    impl<M> HeapNetwork<M> {
+    impl<M> HeapOracle<M> {
         pub(crate) fn new(config: AsyncConfig) -> Self {
-            HeapNetwork {
+            HeapOracle {
                 nodes: BTreeSet::new(),
                 queue: BinaryHeap::new(),
                 inboxes: BTreeMap::new(),
@@ -472,7 +472,7 @@ mod heap_oracle {
         }
     }
 
-    impl<M> NetworkEngine<M> for HeapNetwork<M> {
+    impl<M> NetworkEngine<M> for HeapOracle<M> {
         fn add_node(&mut self, v: NodeId) {
             self.nodes.insert(v);
         }
@@ -553,7 +553,7 @@ mod heap_oracle {
 
 #[cfg(test)]
 mod tests {
-    use super::heap_oracle::HeapNetwork;
+    use super::heap_oracle::HeapOracle;
     use super::*;
     use crate::SyncNetwork;
     use proptest::prelude::*;
@@ -724,7 +724,7 @@ mod tests {
     /// drop logs, and counters.
     fn assert_matches_oracle(config: AsyncConfig, k: u64, ops: usize, script_seed: u64) {
         let mut new_net: AsyncNetwork<u32> = AsyncNetwork::new(config);
-        let mut oracle: HeapNetwork<u32> = HeapNetwork::new(config);
+        let mut oracle: HeapOracle<u32> = HeapOracle::new(config);
         let mut live: Vec<u64> = (0..k).collect();
         for &i in &live {
             new_net.add_node(n(i));

@@ -1,13 +1,15 @@
-//! The grouped bulk-application path's equivalence proof.
+//! The grouped plan-application path's equivalence proof.
 //!
-//! `Graph::apply_delta` rewrites every touched neighbor list with one merge
-//! walk per plan flush; these tests pin that path **bit-identical** — same
+//! `RepairPlan::apply_streamed_with` accumulates a whole plan's edge
+//! mutations and flushes them through `Graph::apply_delta` — one validated
+//! batch per plan, or sequence-ordered chunks once a plan outgrows the
+//! accumulation cap. These tests pin that path **bit-identical** — same
 //! topology fingerprint, same [`TopologyDelta`] stream, same order — to the
-//! sequential per-edge reference ([`PlanAction::apply_streamed`], two binary
-//! searches and a list edit per edge), at the plan level and end to end on
-//! all three Xheal executors under mixed insert/delete/batch churn,
-//! including recolor (a color joining an existing edge) and label-strip
-//! (dissolve) cases.
+//! sequential per-edge reference ([`PlanAction::apply_streamed`], one
+//! strip/add per edge), at the plan level, across chunk boundaries, and end
+//! to end on all three Xheal executors under mixed insert/delete/batch
+//! churn, including recolor (a color joining an existing edge) and
+//! label-strip (dissolve) cases.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -19,36 +21,23 @@ use xheal_core::{
     TopologyDelta, TopologySink, Xheal, XhealConfig,
 };
 use xheal_dist::{DistXheal, Msg};
-use xheal_graph::{generators, EdgeLabels, Graph, NodeId};
+use xheal_graph::{generators, EdgeLabels, NodeId};
 use xheal_sim::{AsyncConfig, AsyncNetwork};
 
-fn fold_hash(h: u64, x: u64) -> u64 {
-    (h ^ x).wrapping_mul(0x100_0000_01b3)
-}
-
-/// Order-sensitive fingerprint over the full labeled edge enumeration —
-/// equal fingerprints mean identical topology *and* iteration order.
-fn fingerprint(g: &Graph) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (u, v, l) in g.edges() {
-        h = fold_hash(h, u.as_u64());
-        h = fold_hash(h, v.as_u64());
-        h = fold_hash(h, u64::from(l.is_black()));
-        for c in l.colors() {
-            h = fold_hash(h, c.as_u64());
-        }
-    }
-    h
-}
-
 /// A sink that records the raw delta stream, flattening batched emissions
-/// in order — so grouped and per-delta feeds are directly comparable.
+/// in order — so grouped and per-delta feeds are directly comparable — and
+/// counts the batched emissions (one per flush).
 #[derive(Debug, Default)]
-struct RecordingSink(Vec<TopologyDelta>);
+struct RecordingSink(Vec<TopologyDelta>, usize);
 
 impl TopologySink for RecordingSink {
     fn on_delta(&mut self, delta: &TopologyDelta) {
         self.0.push(*delta);
+    }
+
+    fn on_deltas(&mut self, deltas: &[TopologyDelta]) {
+        self.1 += 1;
+        self.0.extend_from_slice(deltas);
     }
 }
 
@@ -131,7 +120,7 @@ proptest! {
             }
             prop_assert!(grouped_g.validate().is_ok(), "step {step}: {:?}", grouped_g.validate());
             prop_assert!(
-                fingerprint(&grouped_g) == fingerprint(&seq_g),
+                grouped_g.edge_fingerprint() == seq_g.edge_fingerprint(),
                 "step {step}: topology fingerprints diverged"
             );
             let same = grouped_g == seq_g;
@@ -244,7 +233,7 @@ proptest! {
                     step,
                     event
                 );
-                prints.push(fingerprint(engine.graph()));
+                prints.push(engine.graph().edge_fingerprint());
             }
             prop_assert!(
                 prints.windows(2).all(|w| w[0] == w[1]),
@@ -318,7 +307,7 @@ fn recolor_and_strip_flush_matches_reference() {
     }
 
     assert_eq!(grouped_rec.borrow().0, seq_rec.borrow().0);
-    assert_eq!(fingerprint(&grouped_g), fingerprint(&seq_g));
+    assert_eq!(grouped_g.edge_fingerprint(), seq_g.edge_fingerprint());
     assert!(grouped_g == seq_g);
     grouped_g.validate().unwrap();
     // Hand-computed: (0,1) black only again, (2,3) black + c, (0,3) gone.
@@ -327,4 +316,120 @@ fn recolor_and_strip_flush_matches_reference() {
     let l23 = grouped_g.edge_labels(n(2), n(3)).unwrap();
     assert!(l23.is_black() && l23.colors() == [c]);
     assert!(grouped_g.edge_labels(n(0), n(3)).is_none());
+}
+
+/// A plan far past the flush cap (4096 mutations) over a dense cloud
+/// overlay: several actions each add or strip thousands of colored edges,
+/// re-adding and stripping the same (pair, color) across chunk
+/// boundaries, recoloring black edges, and dissolving a cloud. The chunked
+/// grouped flush must match per-action application exactly — graph and
+/// delta stream — and must really have split into several flushes.
+#[test]
+fn chunked_flush_matches_per_action_reference() {
+    use xheal_core::PlanAction;
+    use xheal_expander::EdgeDelta;
+    use xheal_graph::{CloudColor, CloudKind};
+
+    let n = 120u64;
+    let g0 = generators::cycle(n as usize);
+    let pairs = |k: u64| -> Vec<(NodeId, NodeId)> {
+        (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .filter(|&(i, j)| (i + j + k) % 3 == 0)
+            .map(|(i, j)| (NodeId::new(i), NodeId::new(j)))
+            .collect()
+    };
+    let members: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+    let mut actions = Vec::new();
+    for k in 0..4u64 {
+        actions.push(PlanAction::BuildCloud {
+            color: CloudColor::new(k),
+            kind: CloudKind::Primary,
+            members: members.clone(),
+            delta: EdgeDelta {
+                added: pairs(k),
+                removed: vec![],
+            },
+        });
+    }
+    // Strip every other edge of cloud 0 and re-add a third of them; strip
+    // cloud 1 entirely; then rebuild cloud 1 on cloud 2's pairs.
+    let p0 = pairs(0);
+    actions.push(PlanAction::PatchCloud {
+        color: CloudColor::new(0),
+        removed: vec![],
+        delta: EdgeDelta {
+            added: p0.iter().copied().step_by(3).collect(),
+            removed: p0.iter().copied().step_by(2).collect(),
+        },
+    });
+    actions.push(PlanAction::DissolveCloud {
+        color: CloudColor::new(1),
+        delta: EdgeDelta {
+            added: vec![],
+            removed: pairs(1),
+        },
+    });
+    actions.push(PlanAction::ExtendCloud {
+        color: CloudColor::new(1),
+        node: NodeId::new(0),
+        shared: false,
+        delta: EdgeDelta {
+            added: pairs(2),
+            removed: vec![],
+        },
+    });
+    let mutations: usize = actions
+        .iter()
+        .map(|a| a.delta().added.len() + a.delta().removed.len())
+        .sum();
+    assert!(mutations > 3 * 4096, "plan must span several flushes");
+
+    let plan = xheal_core::RepairPlan {
+        actions: actions.clone(),
+        report: xheal_core::DeletionReport {
+            case: xheal_core::HealCase::AllBlack,
+            edges_added: 0,
+            edges_removed: 0,
+            combined: false,
+            shares: 0,
+            black_degree: 0,
+            degree: 0,
+        },
+    };
+    let mut grouped_g = g0.clone();
+    let mut seq_g = g0;
+    let (mut grouped_sinks, grouped_rec) = recording_registry();
+    let (mut seq_sinks, seq_rec) = recording_registry();
+    plan.apply_streamed_with(
+        &mut grouped_g,
+        &mut grouped_sinks,
+        &mut ApplyScratch::default(),
+    );
+    for action in &actions {
+        action.apply_streamed(&mut seq_g, &mut seq_sinks);
+    }
+
+    grouped_g.validate().unwrap();
+    assert!(grouped_g == seq_g, "chunked flush diverged from per-action");
+    assert_eq!(grouped_g.edge_fingerprint(), seq_g.edge_fingerprint());
+    let (grouped, seq) = (grouped_rec.borrow(), seq_rec.borrow());
+    assert_eq!(grouped.0.len(), mutations);
+    assert!(grouped.0 == seq.0, "delta streams diverged");
+    assert!(
+        grouped.1 >= 3,
+        "only {} flushes for {mutations} mutations",
+        grouped.1
+    );
+    // Spot checks: a cycle edge kept black under a stripped color, and
+    // cloud 1's edges exist only where the rebuild placed them.
+    assert!(grouped_g
+        .edge_labels(NodeId::new(0), NodeId::new(1))
+        .unwrap()
+        .is_black());
+    let c1 = CloudColor::new(1);
+    assert!(grouped_g
+        .edges()
+        .filter(|(_, _, l)| l.has_color(c1))
+        .all(|(u, v, _)| (u.as_u64() + v.as_u64() + 2) % 3 == 0));
 }
