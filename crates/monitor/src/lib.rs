@@ -15,7 +15,9 @@
 //!   `G'` baseline, and a [`StretchReservoir`] of churn-touched nodes for
 //!   on-demand stretch sampling;
 //! - [`SpectralGapTracker`]: λ₂ of the normalized Laplacian re-estimated
-//!   by Lanczos **warm-started** from the previous Fiedler vector;
+//!   by Lanczos **warm-started** from the previous Fiedler vector. That one
+//!   solve also yields the checkpoint's expansion: the Cheeger sweep over
+//!   the same vector, so each checkpoint runs one spectral solve;
 //! - [`HealthPolicy`]: configurable thresholds emitting edge-triggered
 //!   [`HealthEvent`] alerts.
 //!
@@ -127,8 +129,11 @@ pub struct HealthReport {
     /// Warm-started λ₃ of the normalized Laplacian, `Some` only when
     /// [`MonitorConfig::track_lambda3`] is on and the graph has ≥ 3 nodes.
     pub lambda3: Option<f64>,
-    /// Sweep-cut expansion estimate (constructive upper bound on `h`),
-    /// `None` for degenerate graphs.
+    /// Edge expansion `cut / min(|S|, |S̄|)`, minimized over the prefixes
+    /// of the Cheeger sweep over the tracker's λ₂ vector (whose best
+    /// conductance prefix is within `sqrt(2 λ₂)`): a constructive upper
+    /// bound on `h`. Exactly 0 when the graph is disconnected; `None` for
+    /// graphs with fewer than 2 nodes.
     pub expansion: Option<f64>,
     /// Max stretch over the reservoir sample, `None` when no comparable
     /// pair was sampled.
@@ -307,6 +312,14 @@ impl Monitor {
     /// Runs the expensive metrics off the incremental CSR (components,
     /// warm-started spectral gap, sweep-cut expansion, sampled stretch),
     /// evaluates the full policy, and returns the report.
+    ///
+    /// There is one spectral solve per checkpoint: the expansion is the
+    /// Cheeger sweep ([`SpectralGapTracker::cheeger_sweep`]) over the λ₂
+    /// vector the gap estimate just converged, so the reported cut is tied
+    /// to the reported λ₂. A disconnected snapshot reports expansion
+    /// exactly 0 (a component is a cut no edge crosses) without sweeping.
+    /// The cold `sweep_cut_csr` runs only when the tracker produced no
+    /// vector.
     pub fn checkpoint(&mut self) -> HealthReport {
         let generation = self.csr.generation();
         hook::begin(
@@ -320,7 +333,15 @@ impl Monitor {
         let view = self.csr.snapshot();
         let components = component_count(&view);
         let gap = self.spectral.estimate(&view);
-        let expansion = sweep_cut_csr(&view).map(|s| s.expansion);
+        let expansion = if components > 1 {
+            // Any one component is a cut crossed by no edge.
+            Some(0.0)
+        } else {
+            self.spectral
+                .cheeger_sweep(&view)
+                .or_else(|| sweep_cut_csr(&view))
+                .map(|s| s.expansion)
+        };
         let sample = self.reservoir.sample(&view, self.csr.generation());
         let stretch = sampled_stretch(&view, &self.gprime, &sample);
         let snap = MetricsSnapshot {
@@ -742,6 +763,97 @@ mod tests {
         assert_eq!(gv.offsets(), sv.offsets());
         assert_eq!(gv.neighbors_flat(), sv.neighbors_flat());
         assert_histograms_match(&g, net.graph());
+    }
+
+    #[test]
+    fn disconnected_checkpoints_report_zero_expansion() {
+        // K5 plus an isolated node.
+        let mut lone = generators::complete(5);
+        lone.add_node(n(50)).unwrap();
+        // Two disjoint 5-cliques.
+        let mut pair = generators::complete(5);
+        for i in 10..15 {
+            pair.add_node(n(i)).unwrap();
+            for j in 10..i {
+                pair.add_black_edge(n(j), n(i)).unwrap();
+            }
+        }
+        for (name, g) in [("K5 + isolated node", lone), ("two cliques", pair)] {
+            let report = Monitor::new(&g, MonitorConfig::default()).checkpoint();
+            assert_eq!(report.components, 2, "{name}");
+            assert_eq!(report.expansion, Some(0.0), "{name}");
+        }
+        let report = Monitor::new(&generators::complete(5), MonitorConfig::default()).checkpoint();
+        assert_eq!(report.components, 1);
+        assert!(report.expansion.unwrap() > 0.0);
+    }
+
+    #[test]
+    fn checkpoint_expansion_is_a_constructive_cut_under_mixed_churn() {
+        use xheal_baselines::NoHeal;
+        use xheal_core::HealingEngine;
+        use xheal_graph::cuts;
+
+        let (mut checkpoints, mut split) = (0, 0);
+        for seed in 0..3u64 {
+            let mut rng = StdRng::seed_from_u64(40 + seed);
+            let g0 = generators::connected_erdos_renyi(12, 0.3, &mut rng);
+            let engines: [Box<dyn HealingEngine>; 2] = [
+                Box::new(Xheal::builder().kappa(4).seed(seed).build(&g0)),
+                Box::new(NoHeal::new(&g0)),
+            ];
+            for mut net in engines {
+                let monitor = Rc::new(RefCell::new(Monitor::new(&g0, MonitorConfig::default())));
+                net.subscribe(Box::new(Rc::clone(&monitor)));
+                let mut tracker = SpectralGapTracker::new();
+                let mut next = 100u64;
+                for step in 0..30 {
+                    let nodes = net.graph().node_vec();
+                    let len = nodes.len();
+                    let grow = len < 6 || (len < cuts::MAX_EXACT_NODES && rng.random_bool(0.5));
+                    let event = if grow {
+                        let i = rng.random_range(0..len);
+                        let mut neighbors = vec![nodes[i]];
+                        if rng.random_bool(0.5) {
+                            neighbors.push(nodes[(i + 1 + rng.random_range(0..len - 1)) % len]);
+                        }
+                        next += 1;
+                        Event::Insert {
+                            node: n(next),
+                            neighbors,
+                        }
+                    } else {
+                        Event::Delete {
+                            node: nodes[rng.random_range(0..len)],
+                        }
+                    };
+                    net.apply(&event).unwrap();
+
+                    let mut m = monitor.borrow_mut();
+                    let report = m.checkpoint();
+                    let ctx = format!("seed {seed} {} step {step}", net.name());
+                    let exact = cuts::edge_expansion_exact(net.graph()).unwrap().value;
+                    let expansion = report.expansion.expect("at least two nodes");
+                    assert!(
+                        expansion >= exact - 1e-9,
+                        "{ctx}: sweep {expansion} below exact {exact}"
+                    );
+                    assert_eq!(expansion == 0.0, report.components > 1, "{ctx}");
+                    let lone = tracker.estimate(&m.csr().snapshot());
+                    assert_eq!(
+                        report.spectral_gap.lambda.to_bits(),
+                        lone.lambda.to_bits(),
+                        "{ctx}: checkpoint gap differs from a tracker-only run"
+                    );
+                    checkpoints += 1;
+                    split += usize::from(report.components > 1);
+                }
+            }
+        }
+        assert!(
+            split > 0 && split < checkpoints,
+            "{split} of {checkpoints} split"
+        );
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //! restarted Lanczos sweeps seeded with it and converges in a handful of
 //! iterations — while still agreeing with the from-scratch
 //! `normalized_algebraic_connectivity` to well below 1e-6 at checkpoints
-//! (asserted by the `monitor_overhead` harness).
+//! (asserted by the `monitor_overhead` harness). The converged vector is
+//! kept, and its Cheeger sweep gives the monitor's expansion estimate
+//! without a second solve.
 
-use xheal_graph::{CsrView, FxHashMap, NodeId};
+use xheal_graph::{CsrView, NodeId};
 use xheal_spectral::{
-    lanczos_multi_deflated, lanczos_multi_deflated_from, CsrNormalizedLaplacian, LinOp,
+    lanczos_multi_deflated, lanczos_multi_deflated_from, sweep_cut_by, CsrNormalizedLaplacian,
+    LinOp, SweepCut,
 };
 
 /// Lanczos steps per warm restart sweep.
@@ -42,15 +45,22 @@ pub struct GapEstimate {
     pub residual: f64,
 }
 
-/// Carries the Fiedler estimate across topology generations, keyed by node
-/// id so it survives node churn and CSR renumbering. With
+/// Carries the Fiedler estimate across topology generations. The last
+/// estimate's vectors are kept in its dense order next to that snapshot's
+/// ascending node ids, so the next estimate maps them onto a renumbered,
+/// churned CSR by a merge join, and the λ₂ vector's Cheeger sweep
+/// ([`SpectralGapTracker::cheeger_sweep`]) needs no second solve. With
 /// [`SpectralGapTracker::with_lambda3`] it additionally chases λ₃ through a
 /// second deflated sweep — deflating {kernel, current Fiedler estimate} and
 /// warm-starting from the previous λ₃ eigenvector.
 #[derive(Clone, Debug, Default)]
 pub struct SpectralGapTracker {
-    prev: FxHashMap<NodeId, f64>,
-    prev3: FxHashMap<NodeId, f64>,
+    /// Node ids of the last estimate's snapshot, ascending.
+    nodes: Vec<NodeId>,
+    /// The last λ₂ vector over `nodes`; empty when there is none.
+    fiedler: Vec<f64>,
+    /// The last λ₃ vector over `nodes`; empty when there is none.
+    lambda3_vec: Vec<f64>,
     track_lambda3: bool,
 }
 
@@ -74,15 +84,24 @@ impl SpectralGapTracker {
     }
 
     /// Estimates λ₂ of the normalized Laplacian of `csr`, warm-started from
-    /// the previous call's Fiedler vector, and stores the new vector for
-    /// the next call. When λ₃ tracking is on, runs a second deflated chase
-    /// for λ₃ (warm-started from the previous λ₃ vector) with the fresh
-    /// Fiedler estimate joining the kernel in the deflation set.
+    /// the previous call's Fiedler vector, and keeps the new vector for the
+    /// next call and for [`SpectralGapTracker::cheeger_sweep`]. When λ₃
+    /// tracking is on, runs a second deflated chase for λ₃ (warm-started
+    /// from the previous λ₃ vector) with the fresh Fiedler estimate joining
+    /// the kernel in the deflation set.
     pub fn estimate(&mut self, csr: &CsrView) -> GapEstimate {
         let n = csr.len();
+        let chase3 = self.track_lambda3 && n >= 3;
+        let start = self.warm_start(&self.fiedler, csr);
+        let start3 = if chase3 {
+            self.warm_start(&self.lambda3_vec, csr)
+        } else {
+            Vec::new()
+        };
+        self.nodes.clear();
+        self.fiedler.clear();
+        self.lambda3_vec.clear();
         if n < 2 || csr.edge_count() == 0 {
-            self.prev.clear();
-            self.prev3.clear();
             return GapEstimate {
                 lambda: 0.0,
                 lambda3: None,
@@ -94,11 +113,8 @@ impl SpectralGapTracker {
         let kernel = op.kernel();
         let steps = WARM_STEPS.min(n - 1).max(1);
 
-        let start = Self::warm_start(&self.prev, csr);
         let (best, restarts) = Self::chase(&op, &[&kernel], &start, steps, 0x5EED);
         let Some((lambda, vec, residual)) = best else {
-            self.prev.clear();
-            self.prev3.clear();
             return GapEstimate {
                 lambda: 0.0,
                 lambda3: None,
@@ -106,25 +122,18 @@ impl SpectralGapTracker {
                 residual: 0.0,
             };
         };
-        self.prev.clear();
-        for (i, &v) in csr.nodes().iter().enumerate() {
-            self.prev.insert(v, vec[i]);
-        }
+        self.nodes.extend_from_slice(csr.nodes());
 
-        let lambda3 = if self.track_lambda3 && n >= 3 {
-            let start3 = Self::warm_start(&self.prev3, csr);
+        let lambda3 = if chase3 {
             let (best3, _) = Self::chase(&op, &[&kernel, &vec], &start3, steps, 0x5EED3);
-            self.prev3.clear();
             best3.map(|(l3, v3, _)| {
-                for (i, &v) in csr.nodes().iter().enumerate() {
-                    self.prev3.insert(v, v3[i]);
-                }
+                self.lambda3_vec = v3;
                 l3.max(0.0)
             })
         } else {
-            self.prev3.clear();
             None
         };
+        self.fiedler = vec;
         GapEstimate {
             lambda: lambda.max(0.0),
             lambda3,
@@ -133,17 +142,52 @@ impl SpectralGapTracker {
         }
     }
 
-    /// Maps a previous eigenvector estimate onto the current node order.
-    /// Nodes that joined since get a small alternating nonzero component so
-    /// a grown graph still explores its new coordinates.
-    fn warm_start(prev: &FxHashMap<NodeId, f64>, csr: &CsrView) -> Vec<f64> {
+    /// The Cheeger sweep over the last estimate's λ₂ vector `v`: sweeps
+    /// `D^{-1/2}·v` across `csr`, which must be the snapshot that
+    /// [`SpectralGapTracker::estimate`] just saw. `v` is orthogonal to the
+    /// kernel `D^{1/2}·1` with Rayleigh quotient λ₂, so the best prefix has
+    /// conductance at most `sqrt(2 λ₂)` — the cut is tied to the reported
+    /// gap, and no second eigen-solve runs.
+    ///
+    /// `None` when the last estimate produced no vector (a degenerate graph
+    /// or a failed solve) or `csr` has a different node count.
+    pub fn cheeger_sweep(&self, csr: &CsrView) -> Option<SweepCut> {
+        if self.fiedler.is_empty() || self.fiedler.len() != csr.len() {
+            return None;
+        }
+        let embedding: Vec<f64> = self
+            .fiedler
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| match csr.degree_of(i) {
+                0 => 0.0,
+                d => x / (d as f64).sqrt(),
+            })
+            .collect();
+        sweep_cut_by(csr, &embedding)
+    }
+
+    /// Maps a previous eigenvector estimate (over `self.nodes`, or empty)
+    /// onto the current node order; both id lists ascend, so one merge
+    /// pass lines them up. Nodes that joined since get a small alternating
+    /// nonzero component so a grown graph still explores its new
+    /// coordinates.
+    fn warm_start(&self, prev: &[f64], csr: &CsrView) -> Vec<f64> {
+        let mut j = 0;
         csr.nodes()
             .iter()
             .enumerate()
-            .map(|(i, v)| {
-                prev.get(v)
-                    .copied()
-                    .unwrap_or_else(|| if i % 2 == 0 { 1e-3 } else { -1e-3 })
+            .map(|(i, &v)| {
+                while j < prev.len() && self.nodes[j] < v {
+                    j += 1;
+                }
+                if j < prev.len() && self.nodes[j] == v {
+                    prev[j]
+                } else if i % 2 == 0 {
+                    1e-3
+                } else {
+                    -1e-3
+                }
             })
             .collect()
     }
@@ -283,6 +327,96 @@ mod tests {
         let mut tr = SpectralGapTracker::new();
         assert!(!tr.tracks_lambda3());
         assert!(tr.estimate(&g.csr_view()).lambda3.is_none());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+        /// The sweep over the tracker's own `D^{-1/2}·v` realizes Cheeger's
+        /// upper bound against the tracker's own λ₂, cold and after a warm
+        /// restart, on both sides of the spectral crate's dense cutoff.
+        #[test]
+        fn cheeger_sweep_is_within_sqrt_two_lambda(seed in proptest::prelude::any::<u64>()) {
+            use rand::Rng;
+            for n in [60usize, 400] {
+                let mut rng = StdRng::seed_from_u64(seed ^ n as u64);
+                let mut g = generators::connected_erdos_renyi(n, 6.0 / n as f64, &mut rng);
+                let mut tr = SpectralGapTracker::new();
+                for round in 0..2 {
+                    let csr = g.csr_view();
+                    let est = tr.estimate(&csr);
+                    let cut = tr.cheeger_sweep(&csr).expect("connected graph has a vector");
+                    let bound = (2.0 * est.lambda).sqrt();
+                    proptest::prop_assert!(
+                        cut.conductance <= bound + 1e-9,
+                        "n {n} round {round}: conductance {} above sqrt(2 λ₂) = {bound}",
+                        cut.conductance
+                    );
+                    proptest::prop_assert!(
+                        cut.conductance >= est.lambda / 2.0 - 1e-9,
+                        "n {n} round {round}: conductance {} below λ₂/2",
+                        cut.conductance
+                    );
+                    // Perturb for the warm round; added edges keep it connected.
+                    for _ in 0..3 {
+                        let a = rng.random_range(0..n as u64);
+                        let b = rng.random_range(0..n as u64);
+                        if a != b {
+                            let _ = g.add_black_edge(NodeId::new(a), NodeId::new(b));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cheeger_sweep_matches_the_dense_eigenvector_sweep() {
+        use xheal_spectral::{jacobi_eigen, normalized_laplacian_dense, sweep_cut_by};
+        for seed in 0..4 {
+            let mut rng = StdRng::seed_from_u64(60 + seed);
+            let g = generators::preferential_attachment(60, 2, &mut rng);
+            let csr = g.csr_view();
+            let mut tr = SpectralGapTracker::new();
+            tr.estimate(&csr);
+            let warm = tr.cheeger_sweep(&csr).unwrap();
+            let (_, m) = normalized_laplacian_dense(&g);
+            let exact: Vec<f64> = jacobi_eigen(&m).vectors[1]
+                .iter()
+                .enumerate()
+                .map(|(i, x)| x / (csr.degree_of(i) as f64).sqrt())
+                .collect();
+            let dense = sweep_cut_by(&csr, &exact).unwrap();
+            assert!(
+                (warm.conductance - dense.conductance).abs() < 1e-9
+                    && (warm.expansion - dense.expansion).abs() < 1e-9,
+                "seed {seed}: warm {warm:?} vs dense {dense:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn cheeger_sweep_needs_a_vector() {
+        let mut tr = SpectralGapTracker::new();
+        let empty = generators::path(1);
+        assert!(
+            tr.cheeger_sweep(&empty.csr_view()).is_none(),
+            "fresh tracker"
+        );
+        let g = generators::path(8);
+        tr.estimate(&g.csr_view());
+        let cut = tr.cheeger_sweep(&g.csr_view()).unwrap();
+        assert_eq!(cut.side.len(), 4, "the path's middle cut");
+        for other in [generators::path(5), generators::path(11)] {
+            assert!(
+                tr.cheeger_sweep(&other.csr_view()).is_none(),
+                "a snapshot of another size"
+            );
+        }
+        tr.estimate(&empty.csr_view());
+        assert!(
+            tr.cheeger_sweep(&empty.csr_view()).is_none(),
+            "degenerate estimate"
+        );
     }
 
     #[test]

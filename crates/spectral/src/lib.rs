@@ -54,5 +54,5 @@ pub use laplacian::{
 pub use mixing::{
     mixing_time, mixing_time_csr, mixing_time_from, mixing_time_from_csr, DEFAULT_TV_THRESHOLD,
 };
-pub use sweep::{sweep_cut, sweep_cut_csr, SweepCut};
+pub use sweep::{sweep_cut, sweep_cut_by, sweep_cut_csr, SweepCut};
 pub use tridiag::{tridiagonal_eigenvalues, tridiagonal_eigenvector};

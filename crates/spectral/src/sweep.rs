@@ -32,25 +32,49 @@ pub fn sweep_cut(g: &Graph) -> Option<SweepCut> {
 /// [`sweep_cut`] over an existing CSR snapshot — the Fiedler solve and the
 /// prefix scan both run off the borrowed snapshot, so repeat callers with a
 /// maintained CSR never rebuild the adjacency.
+///
+/// This is a cold solve: [`fiedler_vector_csr`] from seeded noise, then
+/// [`sweep_cut_by`]. Callers that already hold a converged eigenvector of
+/// the snapshot should sweep it directly with [`sweep_cut_by`].
 pub fn sweep_cut_csr(csr: &CsrView) -> Option<SweepCut> {
     if csr.len() < 2 || csr.edge_count() == 0 {
         return None;
     }
-    let mut fiedler = fiedler_vector_csr(csr)?;
-    fiedler.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite fiedler entries"));
+    let fiedler: Vec<f64> = fiedler_vector_csr(csr)?
+        .into_iter()
+        .map(|(_, x)| x)
+        .collect();
+    sweep_cut_by(csr, &fiedler)
+}
 
-    let n = fiedler.len();
+/// Sweeps the prefixes of `csr`'s nodes ordered by `values`, which holds
+/// one entry per dense node index of the snapshot.
+///
+/// Any vector works; Cheeger's guarantee (best conductance at most
+/// `sqrt(2 R)`) holds when `values` is `D^{-1/2}·v` for a vector `v`
+/// orthogonal to the normalized Laplacian's kernel `D^{1/2}·1` with
+/// Rayleigh quotient `R`. Entries are ordered with [`f64::total_cmp`], so
+/// non-finite values cannot panic the scan.
+///
+/// Returns `None` when the graph has fewer than 2 nodes or no edges, or
+/// when `values.len()` differs from the node count.
+pub fn sweep_cut_by(csr: &CsrView, values: &[f64]) -> Option<SweepCut> {
+    let n = csr.len();
+    if n < 2 || csr.edge_count() == 0 || values.len() != n {
+        return None;
+    }
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
+
     let total_vol = 2.0 * csr.edge_count() as f64;
-
-    let mut in_side = vec![false; csr.len()];
+    let mut in_side = vec![false; n];
     let mut cut = 0i64;
     let mut vol = 0.0f64;
     let mut best_cond = f64::INFINITY;
     let mut best_prefix = 0usize;
     let mut best_exp = f64::INFINITY;
 
-    for (k, &(v, _)) in fiedler.iter().enumerate().take(n - 1) {
-        let i = csr.index_of(v).expect("fiedler nodes are live");
+    for (k, &i) in order.iter().enumerate().take(n - 1) {
         let deg = csr.degree_of(i) as f64;
         let inside = csr
             .neighbors_of(i)
@@ -76,11 +100,9 @@ pub fn sweep_cut_csr(csr: &CsrView) -> Option<SweepCut> {
         }
     }
 
-    let side: Vec<NodeId> = {
-        let mut s: Vec<NodeId> = fiedler[..best_prefix].iter().map(|&(v, _)| v).collect();
-        s.sort_unstable();
-        s
-    };
+    let nodes = csr.nodes();
+    let mut side: Vec<NodeId> = order[..best_prefix].iter().map(|&i| nodes[i]).collect();
+    side.sort_unstable();
     Some(SweepCut {
         conductance: best_cond,
         expansion: best_exp,
@@ -165,5 +187,21 @@ mod tests {
         assert_eq!(s.side.len(), 6);
         // One crossing edge, six nodes per side, volume 11 min side ~ 11.
         assert!(s.expansion <= 1.0 / 6.0 + 1e-9);
+    }
+
+    #[test]
+    fn sweep_by_orders_any_vector_without_panicking() {
+        let g = generators::path(6);
+        let csr = g.csr_view();
+        // The path's own order cuts it in the middle.
+        let s = sweep_cut_by(&csr, &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
+        assert_eq!(s.side.len(), 3);
+        assert!((s.expansion - 1.0 / 3.0).abs() < 1e-12);
+        // Non-finite entries are ordered, not a panic.
+        let odd = [f64::NAN, 1.0, f64::NEG_INFINITY, -0.0, 0.0, f64::INFINITY];
+        let s = sweep_cut_by(&csr, &odd).unwrap();
+        assert!(s.expansion.is_finite() && s.expansion > 0.0);
+        // A vector of the wrong length is rejected.
+        assert!(sweep_cut_by(&csr, &[1.0, 2.0]).is_none());
     }
 }
