@@ -36,7 +36,7 @@
 
 use std::time::{Duration, Instant};
 
-use xheal_bench::{alloc_count, ALLOC_COUNTING};
+use xheal_bench::{alloc_count, json_quantiles, quantiles, Quantiles, ALLOC_COUNTING};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,31 +49,6 @@ use xheal_graph::{generators, EdgeLabels, Graph, NodeId};
 const KAPPA: usize = 6;
 const PLANNER_SEED: u64 = 11;
 const ADVERSARY_SEED: u64 = 0x5EED_CAFE;
-
-#[derive(Clone, Copy, Debug)]
-struct Quantiles {
-    p50: u64,
-    p99: u64,
-    mean: u64,
-}
-
-fn quantiles(samples: &mut [u64]) -> Quantiles {
-    assert!(!samples.is_empty(), "no latency samples recorded");
-    samples.sort_unstable();
-    let q = |p: f64| samples[((samples.len() - 1) as f64 * p) as usize];
-    Quantiles {
-        p50: q(0.50),
-        p99: q(0.99),
-        mean: samples.iter().sum::<u64>() / samples.len() as u64,
-    }
-}
-
-fn json_quantiles(q: &Quantiles) -> String {
-    format!(
-        "{{\"p50_ns\": {}, \"p99_ns\": {}, \"mean_ns\": {}}}",
-        q.p50, q.p99, q.mean
-    )
-}
 
 /// Delete-only tape: the heal-delete micro schedule. The adversary draws
 /// from its own live list, never from graph state, so the whole schedule

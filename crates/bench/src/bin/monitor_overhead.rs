@@ -5,7 +5,8 @@
 //! [`xheal_core::Xheal`] and, for every event:
 //!
 //! - **incremental**: feeds the event's [`TopologyDelta`]s into an
-//!   [`xheal_monitor::Monitor`] (the in-place CSR patch + O(1) trackers);
+//!   [`xheal_monitor::Monitor`] (its delta-fed graph mirror + O(1)
+//!   trackers);
 //! - **fresh rebuild**: what a non-streaming monitor would do instead —
 //!   rebuild `Graph::csr_view()`, rebuild the normalized-Laplacian
 //!   operator, and recount the degree/black-degree histograms and the
@@ -13,11 +14,13 @@
 //!
 //! At checkpoints it additionally compares the monitor's **warm-started**
 //! spectral gap against a from-scratch `normalized_algebraic_connectivity`
-//! solve (the two must agree within 1e-6) and cross-checks the incremental
-//! CSR against the fresh one field-by-field.
+//! solve (the two must agree within 1e-6) and cross-checks the monitor's
+//! mirror against the engine's graph (labels included) and its CSR snapshot
+//! against the fresh one field-by-field.
 //!
-//! Output is `BENCH_monitor.json` (override with `--out`); `--smoke`
-//! shrinks sizes for CI. Full run:
+//! Output is `BENCH_monitor.json` (schema `xheal-monitor-overhead/v2`,
+//! override the path with `--out`); `--smoke` shrinks sizes for CI. Full
+//! run:
 //!
 //! ```text
 //! cargo run --release -p xheal-bench --bin monitor_overhead
@@ -27,6 +30,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use xheal_bench::{json_quantiles, quantiles};
 use xheal_core::{Event, HealingEngine, TopologyDelta, TopologySink, Xheal, XhealConfig};
 use xheal_graph::{generators, Graph, NodeId};
 use xheal_metrics::{degree_increase, GPrime};
@@ -49,31 +53,6 @@ impl TopologySink for Recorder {
     fn on_delta(&mut self, delta: &TopologyDelta) {
         self.deltas.push(*delta);
     }
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Quantiles {
-    p50: u64,
-    p99: u64,
-    mean: u64,
-}
-
-fn quantiles(samples: &mut [u64]) -> Quantiles {
-    assert!(!samples.is_empty(), "no samples recorded");
-    samples.sort_unstable();
-    let q = |p: f64| samples[((samples.len() - 1) as f64 * p) as usize];
-    Quantiles {
-        p50: q(0.50),
-        p99: q(0.99),
-        mean: samples.iter().sum::<u64>() / samples.len() as u64,
-    }
-}
-
-fn json_quantiles(q: &Quantiles) -> String {
-    format!(
-        "{{\"p50_ns\": {}, \"p99_ns\": {}, \"mean_ns\": {}}}",
-        q.p50, q.p99, q.mean
-    )
 }
 
 /// The fresh-rebuild comparator: everything a monitor without the delta
@@ -234,10 +213,12 @@ fn measure_size(n: usize, events: usize, checkpoint_every: usize) -> SizeReport 
                 warm_ns as f64 / 1e6,
                 cold_ns as f64 / 1e6,
             );
-            // Field-by-field CSR cross-check (the runtime consistency proof).
+            // Mirror and field-by-field CSR cross-check (the runtime
+            // consistency proof).
             let inc = monitor.csr().snapshot();
             let fresh = net.graph().csr_view();
-            consistency_ok &= inc.nodes() == fresh.nodes()
+            consistency_ok &= monitor.csr().graph() == net.graph()
+                && inc.nodes() == fresh.nodes()
                 && inc.offsets() == fresh.offsets()
                 && inc.neighbors_flat() == fresh.neighbors_flat();
             assert_eq!(report.generation, monitor.generation());
@@ -272,11 +253,9 @@ fn measure_size(n: usize, events: usize, checkpoint_every: usize) -> SizeReport 
     );
 
     let inc_json = format!(
-        "{{\"per_event\": {}, \"deltas_per_event_mean\": {:.2}, \"tombstones\": {}, \"compactions\": {}}}",
+        "{{\"per_event\": {}, \"deltas_per_event_mean\": {:.2}}}",
         json_quantiles(&inc_q),
         delta_count as f64 / events as f64,
-        monitor.csr().tombstones(),
-        monitor.csr().compactions(),
     );
     let fresh_json = format!("{{\"per_event\": {}}}", json_quantiles(&fresh_q));
     SizeReport {
@@ -332,7 +311,7 @@ fn main() {
         within_tol,
         "warm spectral gap drifted {spectral_worst:.2e} from the cold solve (tolerance {SPECTRAL_TOL:.0e})"
     );
-    assert!(consistency, "incremental CSR diverged from csr_view()");
+    assert!(consistency, "monitor mirror diverged from the engine graph");
     // The acceptance target: at the full n = 10k scale, incremental
     // maintenance must be at least 10x cheaper than per-event rebuild
     // (smoke sizes are too small for the rebuild cost to dominate).
@@ -377,7 +356,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\": \"xheal-monitor-overhead/v1\",\n  \"smoke\": {smoke},\n  \"kappa\": {KAPPA},\n  \"healer_seed\": {HEALER_SEED},\n  \"adversary_seed\": {ADVERSARY_SEED},\n  \"spectral_tolerance\": {SPECTRAL_TOL:e},\n  \"sizes\": [\n{}\n  ],\n  \"summary\": {{\n    \"speedup_min\": {speedup_min:.3},\n    \"speedup_at_largest\": {speedup_at_largest:.3},\n    \"spectral_max_abs_diff\": {spectral_worst:.3e},\n    \"spectral_within_tol\": {within_tol},\n    \"consistency_ok\": {consistency}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"xheal-monitor-overhead/v2\",\n  \"smoke\": {smoke},\n  \"kappa\": {KAPPA},\n  \"healer_seed\": {HEALER_SEED},\n  \"adversary_seed\": {ADVERSARY_SEED},\n  \"spectral_tolerance\": {SPECTRAL_TOL:e},\n  \"sizes\": [\n{}\n  ],\n  \"summary\": {{\n    \"speedup_min\": {speedup_min:.3},\n    \"speedup_at_largest\": {speedup_at_largest:.3},\n    \"spectral_max_abs_diff\": {spectral_worst:.3e},\n    \"spectral_within_tol\": {within_tol},\n    \"consistency_ok\": {consistency}\n  }}\n}}\n",
         size_entries.join(",\n"),
     );
 

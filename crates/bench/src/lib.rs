@@ -8,7 +8,9 @@
 //!
 //! With the `bench` feature this crate also installs the counting global
 //! allocator ([`alloc_count`]) that the `churn_throughput` and
-//! `traffic_throughput` binaries use for their allocation ledgers.
+//! `traffic_throughput` binaries use for their allocation ledgers. The
+//! `churn_throughput` and `monitor_overhead` binaries share one latency
+//! quantile helper ([`quantiles`]).
 
 // `deny` rather than `forbid`: the feature-gated counting allocator below
 // is the one permitted unsafe block (a verbatim delegation to `System`).
@@ -72,6 +74,43 @@ pub fn alloc_count() -> u64 {
 
 /// Whether allocation counting is live in this build.
 pub const ALLOC_COUNTING: bool = cfg!(feature = "bench");
+
+/// Latency quantiles over one measurement phase's samples (nanoseconds).
+#[derive(Clone, Copy, Debug)]
+pub struct Quantiles {
+    /// Median sample.
+    pub p50: u64,
+    /// 99th-percentile sample.
+    pub p99: u64,
+    /// Arithmetic mean (integer division).
+    pub mean: u64,
+}
+
+/// Sorts `samples` and reads the nearest-rank quantiles at the floored
+/// index `⌊(len − 1)·p⌋`.
+///
+/// # Panics
+///
+/// On an empty sample set.
+pub fn quantiles(samples: &mut [u64]) -> Quantiles {
+    assert!(!samples.is_empty(), "no samples recorded");
+    samples.sort_unstable();
+    let q = |p: f64| samples[((samples.len() - 1) as f64 * p) as usize];
+    Quantiles {
+        p50: q(0.50),
+        p99: q(0.99),
+        mean: samples.iter().sum::<u64>() / samples.len() as u64,
+    }
+}
+
+/// Renders [`Quantiles`] as the `{"p50_ns", "p99_ns", "mean_ns"}` JSON
+/// object the BENCH records use.
+pub fn json_quantiles(q: &Quantiles) -> String {
+    format!(
+        "{{\"p50_ns\": {}, \"p99_ns\": {}, \"mean_ns\": {}}}",
+        q.p50, q.p99, q.mean
+    )
+}
 
 /// Shared `--trace <path>` implementation for the bench binaries: drives a
 /// compact, fully instrumented cross-layer repair scenario — the repair
@@ -247,6 +286,18 @@ pub fn verdict(ok: bool, text: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quantiles_floor_the_nearest_rank_index() {
+        let mut samples: Vec<u64> = (1..=100).rev().collect();
+        let q = quantiles(&mut samples);
+        // Indices ⌊99·0.5⌋ = 49 and ⌊99·0.99⌋ = 98 of the sorted samples.
+        assert_eq!((q.p50, q.p99, q.mean), (50, 99, 50));
+        assert_eq!(
+            json_quantiles(&q),
+            r#"{"p50_ns": 50, "p99_ns": 99, "mean_ns": 50}"#
+        );
+    }
 
     #[test]
     fn float_formatting() {

@@ -12,7 +12,7 @@
 //! On top of the event loop sits the *subscription layer*: every structural
 //! change an engine makes to its network graph is also emitted as a
 //! [`TopologyDelta`] to registered [`TopologySink`]s. Downstream consumers
-//! (incremental CSR monitors, external routing tables) patch their own view
+//! (invariant monitors, external routing tables) patch their own view
 //! from the delta stream instead of re-scanning `graph()`; the built-in
 //! [`DeltaMirror`] sink maintains a full shadow graph purely from deltas and
 //! is the consistency proof that the stream is complete.
@@ -89,8 +89,9 @@ pub trait TopologySink {
     /// The grouped plan-application path delivers each flush through this
     /// method; the default forwards delta-by-delta to
     /// [`TopologySink::on_delta`], so sinks observe the identical stream
-    /// either way. Batch-aware sinks (e.g. `xheal-monitor`'s incremental
-    /// CSR) override it to patch their state once per flush.
+    /// either way. A sink overrides it only when taking the flush whole is
+    /// cheaper than taking it delta by delta, e.g. one that buffers the
+    /// slice for later.
     fn on_deltas(&mut self, deltas: &[TopologyDelta]) {
         for delta in deltas {
             self.on_delta(delta);

@@ -7,9 +7,9 @@
 //! expansion no worse than a constant factor of the original. This crate
 //! watches them on a long-running service:
 //!
-//! - [`IncrementalCsr`]: a generation-stamped CSR patched in place from
-//!   deltas (per-node slack, amortized compaction), provably equal to
-//!   `Graph::csr_view()` after every event;
+//! - [`IncrementalCsr`]: a generation-stamped `Graph` mirrored from the
+//!   deltas, equal to the engine's graph after every event, whose
+//!   snapshot is exactly `Graph::csr_view()`;
 //! - O(1)-per-delta metric trackers: [`DegreeHistogram`]s for degree and
 //!   black degree, [`DegreeIncreaseTracker`] against the insertion-only
 //!   `G'` baseline, and a [`StretchReservoir`] of churn-touched nodes for
@@ -105,7 +105,7 @@ impl Default for MonitorConfig {
 }
 
 /// A full checkpoint evaluation: the cheap maintained metrics plus the
-/// expensive on-demand ones, all computed off the incremental CSR.
+/// expensive on-demand ones, all computed off the delta-fed mirror.
 #[derive(Clone, Copy, Debug)]
 pub struct HealthReport {
     /// Topology generation the report describes.
@@ -122,7 +122,7 @@ pub struct HealthReport {
     pub mean_degree: f64,
     /// Maintained `max deg_G / deg_{G'}` (success metric 1).
     pub degree_increase: f64,
-    /// Connected components (BFS over the incremental CSR).
+    /// Connected components (BFS over the mirror's CSR snapshot).
     pub components: usize,
     /// Warm-started λ₂ of the normalized Laplacian.
     pub spectral_gap: GapEstimate,
@@ -147,8 +147,8 @@ pub struct HealthReport {
 /// in O(1)–O(log n) per delta and are policy-checked at event boundaries
 /// ([`Monitor::evaluate_policy`], driven by [`MonitorHook`]); the
 /// expensive ones (components, spectral gap, expansion, stretch) run at
-/// [`Monitor::checkpoint`] — still off the incremental CSR, never off a
-/// rebuilt graph.
+/// [`Monitor::checkpoint`] — still off the delta-fed mirror, never off the
+/// engine's graph.
 #[derive(Clone, Debug)]
 pub struct Monitor {
     csr: IncrementalCsr,
@@ -262,7 +262,8 @@ impl Monitor {
         self.csr.edge_count()
     }
 
-    /// The incrementally patched CSR itself.
+    /// The delta-fed mirror itself: a generation-stamped `Graph` whose
+    /// snapshot is the CSR every checkpoint metric runs on.
     pub fn csr(&self) -> &IncrementalCsr {
         &self.csr
     }
@@ -302,14 +303,14 @@ impl Monitor {
     // ------------------------------------------------------------------
 
     /// Warm-started spectral gap alone (no components/expansion/stretch,
-    /// no policy pass): snapshots the incremental CSR and re-runs the
+    /// no policy pass): snapshots the delta-fed mirror and re-runs the
     /// Lanczos estimate seeded with the previous Fiedler vector.
     pub fn spectral_gap(&mut self) -> GapEstimate {
         let view = self.csr.snapshot();
         self.spectral.estimate(&view)
     }
 
-    /// Runs the expensive metrics off the incremental CSR (components,
+    /// Runs the expensive metrics off the delta-fed mirror (components,
     /// warm-started spectral gap, sweep-cut expansion, sampled stretch),
     /// evaluates the full policy, and returns the report.
     ///
@@ -493,20 +494,6 @@ impl Monitor {
 impl TopologySink for Monitor {
     fn on_delta(&mut self, delta: &TopologyDelta) {
         self.absorb(delta);
-    }
-
-    /// The grouped feed: when an executor flushes a plan's mutations as
-    /// one batch, the incremental CSR runs a single capacity pre-pass so
-    /// every touched block relocates at most once per flush and the
-    /// amortized compaction check fires once per batch — the metric
-    /// trackers still see every delta in stream order, so maintained
-    /// state is bit-identical to the per-delta feed.
-    fn on_deltas(&mut self, deltas: &[TopologyDelta]) {
-        self.csr.begin_batch(deltas);
-        for delta in deltas {
-            self.absorb(delta);
-        }
-        self.csr.end_batch();
     }
 }
 
@@ -714,55 +701,6 @@ mod tests {
             summary.health
         );
         assert!(spectral_notes[0].message.contains("lambda2="));
-    }
-
-    #[test]
-    fn grouped_feed_matches_per_delta_feed() {
-        // The same engine run observed twice: one monitor fed through the
-        // grouped `on_deltas` path (what batched plan flushes emit), one
-        // forced through single `on_delta` calls. All maintained state
-        // must be bit-identical.
-        let mut rng = StdRng::seed_from_u64(31);
-        let g0 = generators::connected_erdos_renyi(26, 0.14, &mut rng);
-        let grouped = Rc::new(RefCell::new(Monitor::new(&g0, MonitorConfig::default())));
-        let single = Rc::new(RefCell::new(Monitor::new(&g0, MonitorConfig::default())));
-
-        /// Re-splits every batch into per-delta calls before forwarding.
-        #[derive(Debug)]
-        struct Unbatcher(Rc<RefCell<Monitor>>);
-        impl TopologySink for Unbatcher {
-            fn on_delta(&mut self, delta: &TopologyDelta) {
-                self.0.borrow_mut().on_delta(delta);
-            }
-            fn on_deltas(&mut self, deltas: &[TopologyDelta]) {
-                for d in deltas {
-                    self.0.borrow_mut().on_delta(d);
-                }
-            }
-        }
-
-        let mut net = Xheal::builder()
-            .kappa(4)
-            .seed(13)
-            .sink(Box::new(Rc::clone(&grouped)))
-            .sink(Box::new(Unbatcher(Rc::clone(&single))))
-            .build(&g0);
-        for step in 0..25 {
-            let nodes = net.graph().node_vec();
-            net.heal_delete(nodes[(step * 5) % nodes.len()]).unwrap();
-        }
-        let (g, s) = (grouped.borrow(), single.borrow());
-        assert_eq!(g.generation(), s.generation());
-        assert_eq!(g.node_count(), s.node_count());
-        assert_eq!(g.edge_count(), s.edge_count());
-        assert_eq!(g.degrees().buckets(), s.degrees().buckets());
-        assert_eq!(g.black_degrees().buckets(), s.black_degrees().buckets());
-        assert!((g.degree_increase() - s.degree_increase()).abs() < 1e-12);
-        let (gv, sv) = (g.csr().snapshot(), s.csr().snapshot());
-        assert_eq!(gv.nodes(), sv.nodes());
-        assert_eq!(gv.offsets(), sv.offsets());
-        assert_eq!(gv.neighbors_flat(), sv.neighbors_flat());
-        assert_histograms_match(&g, net.graph());
     }
 
     #[test]

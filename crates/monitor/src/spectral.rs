@@ -1,4 +1,4 @@
-//! Warm-started spectral-gap estimation over the incremental CSR.
+//! Warm-started spectral-gap estimation over the monitor's CSR snapshots.
 //!
 //! The paper's expansion invariant (Theorem 2.3, stated through the Cheeger
 //! inequality) is monitored via λ₂ of the *normalized* Laplacian. A fresh

@@ -211,7 +211,7 @@ fn arena_covers_ten_engines_by_three_schedules() {
 }
 
 /// The monitor-scored arena in debug mode: every engine's delta stream
-/// must keep the monitor's incremental CSR exactly in sync (the monitor
+/// must keep the monitor's delta-fed mirror exactly in sync (the monitor
 /// `debug_assert`s drift per event), and the scored qualities must be
 /// sane: λ₂/λ₃ ordered, components ≥ 1, degree caps where promised.
 #[test]

@@ -1,11 +1,12 @@
-//! The monitor's consistency proof: an [`IncrementalCsr`] patched purely
-//! from the [`TopologyDelta`] stream equals `Graph::csr_view()` — after
-//! **every** event, under arbitrary mixed insert/delete/batch churn, for
-//! the centralized executor, both distributed engines, and the
+//! The monitor's consistency proof: its `IncrementalCsr`, a `Graph`
+//! mirrored purely from the `TopologyDelta` stream, equals the engine's
+//! graph, labels included, and snapshots to exactly `Graph::csr_view()` —
+//! after **every** event, under arbitrary mixed insert/delete/batch churn,
+//! for the centralized executor, both distributed engines, and the
 //! component-parallel executor, including a subscription that starts
-//! mid-run. The companion property pins the
-//! monitor's O(1)-maintained degree histograms and degree-increase metric
-//! against from-scratch recounts on the same schedule.
+//! mid-run. The companion property pins the monitor's O(1)-maintained
+//! degree histograms and degree-increase metric against from-scratch
+//! recounts on the same schedule.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -16,54 +17,24 @@ use xheal_core::{Event, HealingEngine, Xheal, XhealConfig};
 use xheal_dist::{DistXheal, Msg};
 use xheal_graph::{generators, CsrView, Graph, NodeId};
 use xheal_metrics::{degree_increase, GPrime};
-use xheal_monitor::{IncrementalCsr, Monitor, MonitorConfig};
+use xheal_monitor::{Monitor, MonitorConfig};
 use xheal_sim::{AsyncConfig, AsyncNetwork};
 
-/// A delta-driven wrapper so the bare CSR can ride the sink registry.
-struct CsrSink(IncrementalCsr);
-
-impl xheal_core::TopologySink for CsrSink {
-    fn on_delta(&mut self, delta: &xheal_core::TopologyDelta) {
-        self.0.apply(delta);
-    }
-}
-
-/// Builds one engine of the given kind over `g0` with both an incremental
-/// CSR and a full monitor subscribed.
-#[allow(clippy::type_complexity)]
+/// Builds one engine of the given kind over `g0` with a monitor subscribed.
 fn engine_with_monitor(
     kind: usize,
     g0: &Graph,
     cfg: XhealConfig,
-) -> (
-    Box<dyn HealingEngine>,
-    Rc<RefCell<CsrSink>>,
-    Rc<RefCell<Monitor>>,
-) {
-    let csr = Rc::new(RefCell::new(CsrSink(IncrementalCsr::new(g0))));
+) -> (Box<dyn HealingEngine>, Rc<RefCell<Monitor>>) {
     let monitor = Rc::new(RefCell::new(Monitor::new(g0, MonitorConfig::default())));
-    let csr_sink = Box::new(Rc::clone(&csr));
-    let mon_sink = Box::new(Rc::clone(&monitor));
+    let sink = Box::new(Rc::clone(&monitor));
     let engine: Box<dyn HealingEngine> = match kind {
-        0 => Box::new(
-            Xheal::builder()
-                .config(cfg)
-                .sink(csr_sink)
-                .sink(mon_sink)
-                .build(g0),
-        ),
-        1 => Box::new(
-            DistXheal::builder()
-                .config(cfg)
-                .sink(csr_sink)
-                .sink(mon_sink)
-                .build(g0),
-        ),
+        0 => Box::new(Xheal::builder().config(cfg).sink(sink).build(g0)),
+        1 => Box::new(DistXheal::builder().config(cfg).sink(sink).build(g0)),
         2 => Box::new(
             DistXheal::builder()
                 .config(cfg)
-                .sink(csr_sink)
-                .sink(mon_sink)
+                .sink(sink)
                 // Latency and jitter reorder deliveries; the delta stream
                 // (driven by the shared planner) must not change.
                 .engine(AsyncNetwork::<Msg>::new(
@@ -72,17 +43,16 @@ fn engine_with_monitor(
                 .build(g0),
         ),
         // Component-parallel batches: the merged per-component delta
-        // streams arrive in repair-seq order, so the monitor's batch
-        // bracket sees the same sequence as the sequential engine's.
+        // streams arrive in repair-seq order, so the monitor sees the same
+        // sequence as the sequential engine's.
         _ => Box::new(
             Xheal::builder()
                 .config(cfg)
-                .sink(csr_sink)
-                .sink(mon_sink)
+                .sink(sink)
                 .build_parallel(g0, 2),
         ),
     };
-    (engine, csr, monitor)
+    (engine, monitor)
 }
 
 /// One adversary move: mixed inserts, single deletions, and multi-victim
@@ -121,11 +91,41 @@ fn csr_equal(a: &CsrView, b: &CsrView) -> bool {
     a.nodes() == b.nodes() && a.offsets() == b.offsets() && a.neighbors_flat() == b.neighbors_flat()
 }
 
+/// The per-event check: the monitor's mirror equals `graph` (labels
+/// included) and passes `Graph::validate`, its snapshot is exactly
+/// `graph.csr_view()`, and its generation advanced past `last_generation`
+/// (every event emits at least one delta). Returns the new generation.
+fn check_monitor(
+    monitor: &Monitor,
+    graph: &Graph,
+    last_generation: u64,
+    ctx: &str,
+) -> Result<u64, TestCaseError> {
+    let mirror = monitor.csr().graph();
+    mirror
+        .validate()
+        .map_err(|e| TestCaseError::fail(format!("{ctx}: {e}")))?;
+    prop_assert!(mirror == graph, "{}: mirror diverged", ctx);
+    prop_assert!(
+        csr_equal(&monitor.csr().snapshot(), &graph.csr_view()),
+        "{}: snapshot differs from csr_view()",
+        ctx
+    );
+    let generation = monitor.generation();
+    prop_assert!(
+        generation > last_generation,
+        "{}: generation stalled at {}",
+        ctx,
+        generation
+    );
+    Ok(generation)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// IncrementalCsr == Graph::csr_view() after every event, for Xheal and
-    /// both DistXheal engines, on one shared schedule — with the generation
+    /// The monitor's mirror == the engine's graph after every event, for
+    /// all four executors on one shared schedule, with the generation
     /// stamp advancing with every delta the engine emitted.
     #[test]
     fn incremental_csr_matches_fresh_rebuild_under_mixed_churn(
@@ -141,7 +141,7 @@ proptest! {
         let cfg = XhealConfig::new(4).with_seed(seed ^ 0xCAFE);
 
         for kind in 0..4usize {
-            let (mut engine, csr, monitor) = engine_with_monitor(kind, &g0, cfg.clone());
+            let (mut engine, monitor) = engine_with_monitor(kind, &g0, cfg.clone());
             let mut adv_rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
             let mut next_id = 10_000u64;
             let mut last_generation = 0u64;
@@ -150,36 +150,15 @@ proptest! {
                 engine.apply(&event).map_err(|e| {
                     TestCaseError::fail(format!("{}: {e}", engine.name()))
                 })?;
-                let inc = csr.borrow();
-                inc.0.validate().map_err(TestCaseError::fail)?;
-                prop_assert!(
-                    csr_equal(&inc.0.snapshot(), &engine.graph().csr_view()),
-                    "{} step {step}: incremental CSR diverged after {event:?}",
-                    engine.name()
-                );
-                // Generation stamp discipline: strictly monotone, bumped
-                // at least once per event that changed anything.
-                let generation = inc.0.generation();
-                prop_assert!(
-                    generation > last_generation,
-                    "{} step {step}: generation stalled at {generation}",
-                    engine.name()
-                );
-                last_generation = generation;
-                // The full monitor rides the same stream and sees the same
-                // topology counts.
-                let m = monitor.borrow();
-                prop_assert!(
-                    (m.node_count(), m.edge_count())
-                        == (engine.graph().node_count(), engine.graph().edge_count()),
-                    "{} step {}: monitor counts diverged", engine.name(), step
-                );
+                let ctx = format!("{} step {step} after {event:?}", engine.name());
+                last_generation =
+                    check_monitor(&monitor.borrow(), engine.graph(), last_generation, &ctx)?;
             }
         }
     }
 
-    /// Mid-run subscription: a CSR seeded from the graph mid-run tracks the
-    /// engine from that point on, generation counting from zero.
+    /// Mid-run subscription: a monitor seeded from the graph mid-run tracks
+    /// the engine from that point on, generation counting from zero.
     #[test]
     fn incremental_csr_subscribed_mid_run_tracks_from_there(
         seed in any::<u64>(),
@@ -199,17 +178,16 @@ proptest! {
             net.apply(&event).map_err(|e| TestCaseError::fail(e.to_string()))?;
         }
         // Subscribe now, seeded from the *current* graph.
-        let csr = Rc::new(RefCell::new(CsrSink(IncrementalCsr::new(net.graph()))));
-        net.subscribe(Box::new(Rc::clone(&csr)));
-        prop_assert_eq!(csr.borrow().0.generation(), 0);
-        for _ in 0..steps {
+        let monitor = Rc::new(RefCell::new(Monitor::new(net.graph(), MonitorConfig::default())));
+        net.subscribe(Box::new(Rc::clone(&monitor)));
+        prop_assert_eq!(monitor.borrow().generation(), 0);
+        let mut last_generation = 0u64;
+        for step in 0..steps {
             let event = next_event(net.graph(), &mut adv_rng, &mut next_id);
             net.apply(&event).map_err(|e| TestCaseError::fail(e.to_string()))?;
-            let inc = csr.borrow();
-            prop_assert!(
-                csr_equal(&inc.0.snapshot(), &net.graph().csr_view()),
-                "mid-run CSR diverged after {:?}", event
-            );
+            let ctx = format!("mid-run step {step} after {event:?}");
+            last_generation =
+                check_monitor(&monitor.borrow(), net.graph(), last_generation, &ctx)?;
         }
     }
 
