@@ -1,10 +1,9 @@
 //! # xheal-baselines
 //!
 //! Baseline self-healing strategies the paper's Related Work section compares
-//! Xheal against, all implementing the unified [`xheal_core::HealingEngine`]
-//! API (and the older [`xheal_core::Healer`] trait), so every workload,
-//! bench, and cross-validation driver accepts them interchangeably with
-//! Xheal:
+//! Xheal against, all implementing [`xheal_core::HealingEngine`], so every
+//! workload, bench, and cross-validation driver accepts them
+//! interchangeably with Xheal:
 //!
 //! - [`NoHeal`]: deletion removes the node and nothing else (the network may
 //!   disconnect — this is the "do nothing" control);
@@ -27,11 +26,11 @@
 //!
 //! ```
 //! use xheal_baselines::CycleHeal;
-//! use xheal_core::Healer;
+//! use xheal_core::{Event, HealingEngine};
 //! use xheal_graph::{components, generators, NodeId};
 //!
 //! let mut h = CycleHeal::new(&generators::star(10));
-//! h.on_delete(NodeId::new(0))?; // hub dies
+//! h.apply(&Event::Delete { node: NodeId::new(0) })?; // hub dies
 //! assert!(components::is_connected(h.graph()));
 //! # Ok::<(), xheal_core::HealError>(())
 //! ```
@@ -40,8 +39,8 @@
 #![warn(missing_docs)]
 
 use xheal_core::{
-    BatchReport, BatchVictim, DeletionReport, Event, HealCase, HealError, Healer, HealingEngine,
-    Outcome, SinkRegistry, TopologyDelta, TopologySink,
+    BatchReport, BatchVictim, DeletionReport, Event, HealCase, HealError, HealingEngine, Outcome,
+    SinkRegistry, TopologyDelta, TopologySink,
 };
 use xheal_graph::{Graph, NodeId};
 
@@ -174,24 +173,6 @@ macro_rules! baseline_common {
             }
         }
 
-        impl Healer for $ty {
-            fn name(&self) -> &'static str {
-                $name
-            }
-
-            fn graph(&self) -> &Graph {
-                &self.base.graph
-            }
-
-            fn on_insert(&mut self, v: NodeId, neighbors: &[NodeId]) -> Result<(), HealError> {
-                self.base.insert(v, neighbors)
-            }
-
-            fn on_delete(&mut self, v: NodeId) -> Result<(), HealError> {
-                self.heal_one(v).map(|_| ())
-            }
-        }
-
         impl HealingEngine for $ty {
             fn name(&self) -> &'static str {
                 $name
@@ -212,9 +193,8 @@ macro_rules! baseline_common {
                         cost: None,
                     }),
                     // Baselines have no simultaneous-deletion repair: the
-                    // batch is healed victim-by-victim (the sequential
-                    // approximation of `Healer::on_delete_batch`), with each
-                    // victim its own "component".
+                    // batch is healed victim-by-victim (a sequential
+                    // approximation), with each victim its own "component".
                     Event::DeleteBatch { nodes } => {
                         BatchVictim::validate(&self.base.graph, nodes)?;
                         let mut edges_added = 0;
@@ -350,20 +330,8 @@ impl ForgivingLike {
 
 baseline_common!(ForgivingLike, "forgiving-like");
 
-/// All baseline constructors boxed behind the [`Healer`] trait, for
-/// experiment sweeps.
-pub fn all_baselines(initial: &Graph) -> Vec<Box<dyn Healer>> {
-    vec![
-        Box::new(NoHeal::new(initial)),
-        Box::new(CycleHeal::new(initial)),
-        Box::new(StarHeal::new(initial)),
-        Box::new(BinaryTreeHeal::new(initial)),
-        Box::new(ForgivingLike::new(initial)),
-    ]
-}
-
-/// All baseline constructors boxed behind the unified [`HealingEngine`]
-/// trait, for event-driven experiment sweeps.
+/// All baseline constructors boxed behind the [`HealingEngine`] trait, for
+/// event-driven experiment sweeps.
 pub fn all_engines(initial: &Graph) -> Vec<Box<dyn HealingEngine>> {
     vec![
         Box::new(NoHeal::new(initial)),
@@ -386,7 +354,7 @@ mod tests {
     #[test]
     fn noheal_disconnects_on_star_center() {
         let mut h = NoHeal::new(&generators::star(6));
-        h.on_delete(n(0)).unwrap();
+        h.apply(&Event::Delete { node: n(0) }).unwrap();
         assert!(!components::is_connected(h.graph()));
         assert_eq!(h.graph().edge_count(), 0);
     }
@@ -394,7 +362,7 @@ mod tests {
     #[test]
     fn cycle_heal_reconnects_star() {
         let mut h = CycleHeal::new(&generators::star(6));
-        h.on_delete(n(0)).unwrap();
+        h.apply(&Event::Delete { node: n(0) }).unwrap();
         assert!(components::is_connected(h.graph()));
         // Every ex-leaf has degree exactly 2.
         for i in 1..6 {
@@ -405,7 +373,7 @@ mod tests {
     #[test]
     fn cycle_heal_two_neighbors_single_edge() {
         let mut h = CycleHeal::new(&generators::path(3));
-        h.on_delete(n(1)).unwrap();
+        h.apply(&Event::Delete { node: n(1) }).unwrap();
         assert!(h.graph().has_edge(n(0), n(2)));
         assert_eq!(h.graph().edge_count(), 1);
     }
@@ -413,7 +381,7 @@ mod tests {
     #[test]
     fn star_heal_concentrates_degree() {
         let mut h = StarHeal::new(&generators::star(8));
-        h.on_delete(n(0)).unwrap();
+        h.apply(&Event::Delete { node: n(0) }).unwrap();
         assert!(components::is_connected(h.graph()));
         assert_eq!(h.graph().degree(n(1)), Some(6), "hub absorbs everyone");
         assert_eq!(traversal::diameter(h.graph()), Some(2));
@@ -422,7 +390,7 @@ mod tests {
     #[test]
     fn binary_tree_heal_logarithmic_diameter() {
         let mut h = BinaryTreeHeal::new(&generators::star(64));
-        h.on_delete(n(0)).unwrap();
+        h.apply(&Event::Delete { node: n(0) }).unwrap();
         assert!(components::is_connected(h.graph()));
         let diam = traversal::diameter(h.graph()).unwrap();
         assert!(diam <= 12, "diameter {diam} not logarithmic");
@@ -445,7 +413,7 @@ mod tests {
         g.add_black_edge(n(5), n(50)).unwrap();
         g.add_black_edge(n(5), n(51)).unwrap();
         let mut h = ForgivingLike::new(&g);
-        h.on_delete(n(0)).unwrap();
+        h.apply(&Event::Delete { node: n(0) }).unwrap();
         assert!(components::is_connected(h.graph()));
         // Node 5 (pre-patch degree 3) must be a leaf of the patch: at most
         // one patch edge added to it.
@@ -454,17 +422,21 @@ mod tests {
 
     #[test]
     fn insert_semantics_shared() {
-        for mut h in all_baselines(&generators::cycle(4)) {
-            h.on_insert(n(100), &[n(0), n(2)]).unwrap();
+        let insert = |node, neighbors: &[NodeId]| Event::Insert {
+            node,
+            neighbors: neighbors.to_vec(),
+        };
+        for mut h in all_engines(&generators::cycle(4)) {
+            h.apply(&insert(n(100), &[n(0), n(2)])).unwrap();
             assert_eq!(h.graph().degree(n(100)), Some(2), "{}", h.name());
-            assert!(h.on_insert(n(100), &[]).is_err());
-            assert!(h.on_delete(n(999)).is_err());
+            assert!(h.apply(&insert(n(100), &[])).is_err());
+            assert!(h.apply(&Event::Delete { node: n(999) }).is_err());
         }
     }
 
     #[test]
     fn names_are_distinct() {
-        let names: Vec<&str> = all_baselines(&generators::cycle(4))
+        let names: Vec<&str> = all_engines(&generators::cycle(4))
             .iter()
             .map(|h| h.name())
             .collect();
@@ -477,7 +449,6 @@ mod tests {
 
     #[test]
     fn engines_apply_and_report_outcomes() {
-        use xheal_core::Event;
         for mut h in all_engines(&generators::star(8)) {
             let name = h.name();
             let out = h
@@ -525,7 +496,7 @@ mod tests {
     fn baseline_deltas_feed_a_mirror() {
         use std::cell::RefCell;
         use std::rc::Rc;
-        use xheal_core::{DeltaMirror, Event};
+        use xheal_core::DeltaMirror;
 
         let g0 = generators::star(10);
         for mut h in all_engines(&g0) {

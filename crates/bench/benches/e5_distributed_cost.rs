@@ -3,12 +3,13 @@
 //! lower bound.
 //!
 //! The distributed protocol runs as per-node actor state machines with
-//! real message envelopes. Part 1 measures it over the synchronous
-//! LOCAL-model engine; part 2 re-runs the identical schedules over the
-//! asynchronous event-queue engine with seeded per-link latency L ∈ [1, 3]
-//! plus jitter, verifying the healed topology is bit-identical to the
-//! synchronous run and that recovery time only dilates by the worst-case
-//! delivery delay; part 3 measures burst (batch) deletions under latency.
+//! real message envelopes over the event-queue engine. Part 1 measures it
+//! at zero latency — the synchronous LOCAL model, every message delivered
+//! one round after its send; part 2 re-runs the identical schedules with
+//! seeded per-link latency L ∈ [1, 3] plus jitter, verifying the healed
+//! topology is bit-identical to the zero-latency run and that recovery
+//! time only dilates by the worst-case delivery delay; part 3 measures
+//! burst (batch) deletions under latency.
 //! Tables report measured mean/max rounds per repair, mean messages, A(p),
 //! and the overhead ratio `messages / (κ·log2 n·A(p))` which Theorem 5
 //! bounds by a constant.
@@ -18,7 +19,7 @@ use xheal_bench::{f, header, row, srow, verdict};
 use xheal_core::XhealConfig;
 use xheal_dist::{DistXheal, Msg, RepairCost};
 use xheal_graph::{components, generators, Graph, NodeId};
-use xheal_sim::{AsyncConfig, AsyncNetwork, NetworkEngine};
+use xheal_sim::{AsyncConfig, AsyncNetwork};
 use xheal_workload::bfs_rack;
 
 const KAPPA: usize = 6;
@@ -50,7 +51,7 @@ fn measure(costs: &[RepairCost], n: usize) -> Measured {
 }
 
 fn victims_for(n: u64, g0: &Graph, deletions: usize) -> Vec<NodeId> {
-    // The shared deletion schedule of the sync and async runs: replayed
+    // The shared deletion schedule of parts 1 and 2: replayed
     // against a scratch healer so the surviving-node draws line up.
     let mut rng = StdRng::seed_from_u64(n ^ 0x5EED);
     let mut scratch = DistXheal::new(g0, XhealConfig::new(KAPPA).with_seed(4));
@@ -64,7 +65,8 @@ fn victims_for(n: u64, g0: &Graph, deletions: usize) -> Vec<NodeId> {
     victims
 }
 
-fn run_engine<N: NetworkEngine<Msg>>(g0: &Graph, victims: &[NodeId], engine: N) -> DistXheal<N> {
+fn run_engine(g0: &Graph, victims: &[NodeId], delivery: AsyncConfig) -> DistXheal {
+    let engine = AsyncNetwork::new(delivery);
     let mut net = DistXheal::with_engine(g0, XhealConfig::new(KAPPA).with_seed(4), engine);
     for &v in victims {
         net.delete(v).unwrap();
@@ -78,7 +80,7 @@ fn main() {
         "distributed cost: O(log n) rounds, amortized O(kappa log n A(p)) messages (Thm 5)",
     );
 
-    println!("\n-- part 1: synchronous LOCAL-model engine --");
+    println!("\n-- part 1: zero latency (synchronous LOCAL-model rounds) --");
     srow(&[
         "n",
         "del",
@@ -90,14 +92,14 @@ fn main() {
     ]);
     let mut max_round_ratio: f64 = 0.0;
     let mut max_overhead: f64 = 0.0;
-    // Per size: (n, initial graph, deletion schedule, healed sync topology).
-    let mut sync_topologies: Vec<(usize, Graph, Vec<NodeId>, Graph)> = Vec::new();
+    // Per size: (n, initial graph, deletion schedule, healed topology).
+    let mut zero_latency_runs: Vec<(usize, Graph, Vec<NodeId>, Graph)> = Vec::new();
 
     for n in [32usize, 64, 128, 256, 512] {
         let mut rng = StdRng::seed_from_u64(n as u64 ^ 0xE5);
         let g0 = generators::random_regular(n, 6, &mut rng);
         let victims = victims_for(n as u64, &g0, n * 2 / 5);
-        let net = run_engine(&g0, &victims, xheal_sim::SyncNetwork::new());
+        let net = run_engine(&g0, &victims, AsyncConfig::zero_latency());
         let m = measure(net.costs(), n);
         let log2n = (n as f64).log2();
         max_round_ratio = max_round_ratio.max(m.rounds_max / log2n);
@@ -111,14 +113,14 @@ fn main() {
             f(m.a_p),
             f(m.overhead),
         ]);
-        sync_topologies.push((n, g0, victims, net.graph().clone()));
+        zero_latency_runs.push((n, g0, victims, net.graph().clone()));
     }
 
-    // Part 2: the same schedules over the async engine under latency.
+    // Part 2: the same schedules under latency.
     let lat = AsyncConfig::uniform(1, 3, 0xA5).with_jitter(1);
     let worst = lat.worst_case_delay();
     println!(
-        "\n-- part 2: async event-queue engine, per-link latency in [1, 3] + jitter 1 \
+        "\n-- part 2: per-link latency in [1, 3] + jitter 1 \
          (worst delay L = {worst}) --"
     );
     srow(&[
@@ -131,12 +133,12 @@ fn main() {
     ]);
     let mut max_latency_ratio: f64 = 0.0;
     let mut all_identical = true;
-    for &(n, ref g0, ref victims, ref sync_graph) in &sync_topologies {
-        let net = run_engine(g0, victims, AsyncNetwork::<Msg>::new(lat));
+    for &(n, ref g0, ref victims, ref zero_latency_graph) in &zero_latency_runs {
+        let net = run_engine(g0, victims, lat);
         let m = measure(net.costs(), n);
         let ratio = m.rounds_max / (worst as f64 * (n as f64).log2());
         max_latency_ratio = max_latency_ratio.max(ratio);
-        let identical = net.graph() == sync_graph;
+        let identical = net.graph() == zero_latency_graph;
         all_identical &= identical;
         row(&[
             n.to_string(),
@@ -189,8 +191,8 @@ fn main() {
             && max_latency_ratio <= 4.0
             && bursts_ok,
         &format!(
-            "sync: max rounds/log2(n) = {} (O(log n) recovery), message overhead vs \
-             kappa*log(n)*A(p) = {} (constant); async: topologies bit-identical = \
+            "zero latency: max rounds/log2(n) = {} (O(log n) recovery), message overhead \
+             vs kappa*log(n)*A(p) = {} (constant); latency: topologies bit-identical = \
              {all_identical}, max rounds/(L*log2 n) = {} (latency-scaled O(log n)); \
              bursts under latency stay connected within budget (max {} rounds)",
             f(max_round_ratio),

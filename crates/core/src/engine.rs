@@ -376,11 +376,8 @@ impl Outcome {
 /// centralized [`Xheal`], the distributed `xheal_dist::DistXheal` (over any
 /// network engine), and every `xheal-baselines` strategy implement it, so
 /// all of them are interchangeable behind `Box<dyn HealingEngine>`.
-///
-/// Compared to the older [`crate::Healer`] trait (kept for per-method
-/// ergonomics), `apply` returns the full structured [`Outcome`] instead of
-/// discarding reports, and [`HealingEngine::subscribe`] exposes the
-/// topology-delta stream.
+/// `apply` returns the full structured [`Outcome`], and
+/// [`HealingEngine::subscribe`] exposes the topology-delta stream.
 ///
 /// # Examples
 ///

@@ -14,7 +14,7 @@
 //!
 //! Entry points:
 //!
-//! - [`HealingEngine`]: the unified executor API — event-driven
+//! - [`HealingEngine`]: the one executor API — event-driven
 //!   [`HealingEngine::apply`] consuming [`Event`]s and returning structured
 //!   [`Outcome`]s, implemented by every executor (this crate's [`Xheal`],
 //!   `xheal-dist`'s `DistXheal`, and all `xheal-baselines` strategies);
@@ -24,8 +24,6 @@
 //! - [`Xheal`]: the centralized healing network state ([`Xheal::builder`],
 //!   [`Xheal::heal_insert`], [`Xheal::heal_delete`],
 //!   [`Xheal::heal_delete_batch`]);
-//! - [`Healer`]: the older per-method strategy trait (kept for ergonomic
-//!   direct calls; new drivers should use [`HealingEngine`]);
 //! - [`XhealConfig`]: κ, seeding, and ablation switches;
 //! - [`RepairPlanner`] / [`RepairPlan`]: healing decisions as data, shared
 //!   verbatim by the centralized and distributed executors;
@@ -37,11 +35,11 @@
 //! # Examples
 //!
 //! ```
-//! use xheal_core::{Healer, Xheal, XhealConfig};
+//! use xheal_core::{Xheal, XhealConfig};
 //! use xheal_graph::{components, generators, NodeId};
 //!
 //! let mut net = Xheal::new(&generators::star(16), XhealConfig::new(4));
-//! net.on_delete(NodeId::new(0))?; // adversary kills the hub
+//! net.heal_delete(NodeId::new(0))?; // adversary kills the hub
 //! assert!(components::is_connected(net.graph()));
 //! // The repair installed an expander among the 15 orphaned leaves.
 //! assert!(net.graph().edge_count() >= 15);
@@ -58,7 +56,6 @@ mod engine;
 mod error;
 mod event;
 mod heal;
-mod healer;
 pub mod invariants;
 mod parallel;
 mod plan;
@@ -77,7 +74,6 @@ pub use engine::{
 pub use error::HealError;
 pub use event::Event;
 pub use heal::{Xheal, XhealBuilder};
-pub use healer::Healer;
 pub use parallel::ParallelXheal;
 pub use plan::{ApplyScratch, PlanAction, RepairPlan};
 pub use planner::RepairPlanner;

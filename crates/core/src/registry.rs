@@ -7,9 +7,10 @@
 //! a boxed engine. `xheal-workload`'s `arena::standard_registry` populates
 //! one with every engine in the workspace.
 //!
-//! Registry keys are distinct even where engine *names* collide (the sync
-//! and async distributed executors both answer `"xheal-dist"` from
-//! [`HealingEngine::name`]); tables should label rows by registry key.
+//! Registry keys are distinct even where engine *names* collide (the
+//! zero-latency and the latency distributed executors both answer
+//! `"xheal-dist"` from [`HealingEngine::name`]); tables should label rows by
+//! registry key.
 
 use std::collections::BTreeMap;
 

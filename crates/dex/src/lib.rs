@@ -26,9 +26,12 @@
 //! Projection edges are emitted as *colored* [`TopologyDelta`]s under the
 //! reserved [`DEX_CLOUD`] color: DEX rebuilds topology instead of preserving
 //! adversarial edges, so none of its edges belong to the black reference
-//! graph `G'` (the monitor's degree-increase and stretch scoring stay
-//! well-defined because the workload runner tracks `G'` from the event
-//! stream, independent of any engine).
+//! graph `G'`. The monitor grows its `G'` shadow from black edge deltas
+//! only, so for DEX that shadow stays empty and the monitor-scored arena
+//! reports DEX's degree increase and stretch as `None` (`null` in the
+//! arena record). The tape's `G'` — built from the event stream,
+//! independent of any engine — is `xheal_workload::RunSummary::gprime`;
+//! the monitor does not score against it.
 //!
 //! Determinism: all placement and sampling decisions come from one seeded
 //! [`StdRng`] plus ordered (`BTreeMap`) iteration, so identical event

@@ -29,14 +29,17 @@
 //!
 //! Rounds are O(log n) per repair and messages O(κ·deg(v)) amortized —
 //! Theorem 5's budgets, measured for real by [`DistXheal::costs`] and
-//! checked by experiments E5/E7 on both the synchronous engine and the
-//! latency/reordering [`xheal_sim::AsyncNetwork`].
+//! checked by experiments E5/E7. The substrate is
+//! [`xheal_sim::AsyncNetwork`]: [`DistXheal::new`] runs it at
+//! [`AsyncConfig::zero_latency`] (synchronous LOCAL-model rounds), and
+//! [`DistXheal::with_engine`] takes any other latency, jitter or fault
+//! model.
 //!
 //! Because the planner consumes the healer's seeded randomness identically
-//! in every executor, [`DistXheal`] over *any* engine and
+//! in every executor, [`DistXheal`] under *any* delivery model and
 //! [`xheal_core::Xheal`] produce bit-identical topologies on identical
-//! schedules — the cross-validation suite asserts exactly that for the
-//! synchronous and the zero-latency asynchronous engines.
+//! schedules — the cross-validation suite asserts exactly that, at zero
+//! latency and under seeded latency.
 //!
 //! # Examples
 //!
@@ -79,11 +82,10 @@ use std::collections::BTreeSet;
 
 use xheal_core::{
     ApplyScratch, BatchReport, BatchVictim, DeletionReport, DistCost, Event, HealCase, HealError,
-    Healer, HealingEngine, Outcome, RepairPlanner, SinkRegistry, TopologyDelta, TopologySink,
-    XhealConfig,
+    HealingEngine, Outcome, RepairPlanner, SinkRegistry, TopologyDelta, TopologySink, XhealConfig,
 };
 use xheal_graph::{EdgeLabels, Graph, NodeId};
-use xheal_sim::{Counters, NetworkEngine, SyncNetwork};
+use xheal_sim::{AsyncConfig, AsyncNetwork, Counters, NetworkEngine};
 use xheal_trace::{hook, Layer, SharedTracer};
 
 use actor::{ActorRuntime, CostMeta};
@@ -95,7 +97,7 @@ pub use xheal_core::RepairCost;
 /// planner, and the actor runtime executing every plan as messages over
 /// the engine `N`.
 #[derive(Clone, Debug)]
-pub struct DistXheal<N: NetworkEngine<Msg> = SyncNetwork<Msg>> {
+pub struct DistXheal<N: NetworkEngine<Msg> = AsyncNetwork<Msg>> {
     graph: Graph,
     planner: RepairPlanner,
     runtime: ActorRuntime<N>,
@@ -115,12 +117,16 @@ pub struct DistXheal<N: NetworkEngine<Msg> = SyncNetwork<Msg>> {
     tracer: Option<SharedTracer>,
 }
 
-impl DistXheal<SyncNetwork<Msg>> {
-    /// Wraps an initial network over the synchronous LOCAL-model engine:
-    /// every node becomes a processor; all existing edges are black, per
-    /// the model.
+impl DistXheal<AsyncNetwork<Msg>> {
+    /// Wraps an initial network over the synchronous LOCAL model
+    /// ([`AsyncConfig::zero_latency`]): every node becomes a processor; all
+    /// existing edges are black, per the model.
     pub fn new(initial: &Graph, config: XhealConfig) -> Self {
-        DistXheal::with_engine(initial, config, SyncNetwork::new())
+        DistXheal::with_engine(
+            initial,
+            config,
+            AsyncNetwork::new(AsyncConfig::zero_latency()),
+        )
     }
 
     /// Starts a builder composing configuration, seeding, topology sinks,
@@ -138,10 +144,10 @@ impl DistXheal<SyncNetwork<Msg>> {
     ///     .build(&generators::star(8));
     /// assert_eq!(net.planner().kappa(), 4);
     /// ```
-    pub fn builder() -> DistXhealBuilder<SyncNetwork<Msg>> {
+    pub fn builder() -> DistXhealBuilder<AsyncNetwork<Msg>> {
         DistXhealBuilder {
             config: XhealConfig::default(),
-            engine: SyncNetwork::new(),
+            engine: AsyncNetwork::new(AsyncConfig::zero_latency()),
             sinks: SinkRegistry::default(),
         }
     }
@@ -513,28 +519,6 @@ impl<N: NetworkEngine<Msg>> DistXheal<N> {
     }
 }
 
-impl<N: NetworkEngine<Msg>> Healer for DistXheal<N> {
-    fn name(&self) -> &'static str {
-        "xheal-dist"
-    }
-
-    fn graph(&self) -> &Graph {
-        DistXheal::graph(self)
-    }
-
-    fn on_insert(&mut self, v: NodeId, neighbors: &[NodeId]) -> Result<(), HealError> {
-        self.insert(v, neighbors)
-    }
-
-    fn on_delete(&mut self, v: NodeId) -> Result<(), HealError> {
-        self.delete(v).map(|_| ())
-    }
-
-    fn on_delete_batch(&mut self, victims: &[NodeId]) -> Result<(), HealError> {
-        self.delete_batch(victims).map(|_| ())
-    }
-}
-
 impl<N: NetworkEngine<Msg>> DistXheal<N> {
     /// Snapshot of the cost state, taken before an event is applied so the
     /// event's [`DistCost`] can be carved out afterwards.
@@ -600,7 +584,7 @@ impl<N: NetworkEngine<Msg>> HealingEngine for DistXheal<N> {
 
 /// Builder for [`DistXheal`]: composes configuration, seeding, topology
 /// sinks, and the message engine. Start from [`DistXheal::builder`] (the
-/// synchronous engine) and swap substrates with
+/// zero-latency engine) and swap delivery models with
 /// [`DistXhealBuilder::engine`].
 ///
 /// # Examples
@@ -682,7 +666,6 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use xheal_core::Xheal;
     use xheal_graph::{components, generators};
-    use xheal_sim::{AsyncConfig, AsyncNetwork};
 
     fn n(raw: u64) -> NodeId {
         NodeId::new(raw)
@@ -883,26 +866,6 @@ mod tests {
             .collect();
         assert!(!batch_costs.is_empty());
         assert!(batch_costs.iter().any(|c| c.messages > 0));
-    }
-
-    #[test]
-    fn async_engine_zero_latency_matches_sync() {
-        let mut rng = StdRng::seed_from_u64(55);
-        let g0 = generators::connected_erdos_renyi(28, 0.14, &mut rng);
-        let cfg = XhealConfig::new(4).with_seed(19);
-        let mut sync_net = DistXheal::new(&g0, cfg.clone());
-        let engine: AsyncNetwork<Msg> = AsyncNetwork::new(AsyncConfig::zero_latency());
-        let mut async_net = DistXheal::with_engine(&g0, cfg, engine);
-        for i in 0..8 {
-            let victim = sync_net.graph().node_vec()[i * 2];
-            sync_net.delete(victim).unwrap();
-            async_net.delete(victim).unwrap();
-        }
-        assert_eq!(sync_net.graph(), async_net.graph());
-        // Zero latency ⇒ identical delivery schedule ⇒ identical costs.
-        for (a, b) in sync_net.costs().iter().zip(async_net.costs()) {
-            assert_eq!((a.rounds, a.messages), (b.rounds, b.messages));
-        }
     }
 
     #[test]

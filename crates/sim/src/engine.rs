@@ -41,9 +41,9 @@ impl Counters {
 /// Implementations own the processor membership, the in-flight message
 /// store, and the cost counters (the paper's success metrics 4 and 5:
 /// recovery time in rounds, communication in messages). The protocol layer
-/// (`xheal-dist`'s actor runtime) is generic over this trait, so the same
-/// per-node state machines run over lockstep delivery ([`crate::SyncNetwork`])
-/// or latency/reordering/fault delivery ([`crate::AsyncNetwork`]).
+/// (`xheal-dist`'s actor runtime) is generic over this trait;
+/// [`crate::AsyncNetwork`] implements it for every delivery model, from
+/// lockstep LOCAL rounds to latency, reordering and drop faults.
 ///
 /// The contract every implementation upholds:
 ///
@@ -88,15 +88,6 @@ pub trait NetworkEngine<M> {
 
     /// Are any messages still staged or in flight?
     fn has_pending(&self) -> bool;
-
-    /// Steps only if messages are pending; returns whether a round ran.
-    fn step_if_pending(&mut self) -> bool {
-        if !self.has_pending() {
-            return false;
-        }
-        self.step();
-        true
-    }
 
     /// Appends the ids of nodes with non-empty inboxes to `out`, ascending.
     /// Takes a caller-owned buffer so the protocol loop allocates nothing

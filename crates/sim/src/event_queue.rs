@@ -82,11 +82,10 @@ pub struct AsyncConfig {
 }
 
 impl AsyncConfig {
-    /// The degenerate model equal to [`crate::SyncNetwork`]'s delivery: every
-    /// message arrives exactly one round after it was sent, nothing is lost,
-    /// and the RNG is never consumed. The cross-validation suite runs the
-    /// actor protocol over this configuration and asserts bit-identical
-    /// topologies with the synchronous engine.
+    /// The synchronous LOCAL model of the paper's Section 2: every message
+    /// arrives exactly one round after it was sent, reliably and in send
+    /// order, and the RNG is never consumed. This is [`AsyncNetwork`]'s
+    /// [`Default`], and the model `xheal-dist`'s `DistXheal::new` runs on.
     pub fn zero_latency() -> Self {
         AsyncConfig {
             min_latency: 1,
@@ -176,8 +175,8 @@ struct InFlight<M> {
 /// Rounds still exist (recovery time stays measurable in the paper's unit)
 /// but messages take a per-link number of rounds to arrive, can overtake
 /// each other, and can be lost to seeded drop faults. With
-/// [`AsyncConfig::zero_latency`] it is observationally equivalent to
-/// [`crate::SyncNetwork`].
+/// [`AsyncConfig::zero_latency`] (the [`Default`]) every message arrives in
+/// the round after its send: lockstep LOCAL-model delivery.
 ///
 /// Scheduling is a calendar wheel (O(1) per send, one bucket drain per
 /// step) and membership/inboxes live in the shared flat mailbox arena —
@@ -233,11 +232,21 @@ impl<M> AsyncNetwork<M> {
     ///
     /// Panics if `config.min_latency` is 0: same-round delivery breaks the
     /// LOCAL model, and the wheel files a zero-delay message into the
-    /// bucket that was already drained this tick.
+    /// bucket that was already drained this tick. Also panics if
+    /// `min_latency > max_latency` (the per-link latency draw would wrap)
+    /// or unless `0.0 <= drop_prob < 1.0`.
     pub fn new(config: AsyncConfig) -> Self {
         assert!(
             config.min_latency >= 1,
             "latency below one round breaks the LOCAL model"
+        );
+        assert!(
+            config.min_latency <= config.max_latency,
+            "empty latency range"
+        );
+        assert!(
+            (0.0..1.0).contains(&config.drop_prob),
+            "drop probability out of range"
         );
         // Strictly larger than the worst delay so every in-wheel delay is
         // `< horizon` — the single-due-tick-per-bucket invariant.
@@ -555,7 +564,6 @@ mod heap_oracle {
 mod tests {
     use super::heap_oracle::HeapOracle;
     use super::*;
-    use crate::SyncNetwork;
     use proptest::prelude::*;
 
     fn n(raw: u64) -> NodeId {
@@ -590,19 +598,74 @@ mod tests {
     }
 
     #[test]
-    fn zero_latency_matches_sync_delivery() {
-        let mut sync: SyncNetwork<u32> = SyncNetwork::new();
-        let mut anet = mesh(AsyncConfig::zero_latency(), 4);
-        for i in 0..4 {
-            NetworkEngine::add_node(&mut sync, n(i));
-        }
-        for (from, to, p) in [(0, 1, 10), (2, 3, 20), (1, 0, 30)] {
-            NetworkEngine::send(&mut sync, n(from), n(to), p);
-            anet.send(n(from), n(to), p);
-        }
-        assert_eq!(drain_all(&mut sync), drain_all(&mut anet));
-        assert_eq!(sync.counters().rounds, anet.counters().rounds);
-        assert_eq!(sync.counters().messages, anet.counters().messages);
+    fn delivery_is_next_round() {
+        let mut net = mesh(AsyncConfig::zero_latency(), 3);
+        let mut inbox = Vec::new();
+        net.send(n(0), n(1), 7);
+        net.drain_inbox_into(n(1), &mut inbox);
+        assert!(inbox.is_empty(), "not delivered yet");
+        assert_eq!(net.step(), 1);
+        net.drain_inbox_into(n(1), &mut inbox);
+        assert_eq!(
+            inbox,
+            vec![Envelope {
+                from: n(0),
+                to: n(1),
+                payload: 7
+            }]
+        );
+    }
+
+    #[test]
+    fn counters_accumulate_and_diff() {
+        let mut net = mesh(AsyncConfig::zero_latency(), 3);
+        net.send(n(0), n(1), 1);
+        net.step();
+        let snapshot = net.counters();
+        net.send(n(1), n(2), 2);
+        net.send(n(1), n(0), 3);
+        net.step();
+        let delta = net.counters().since(snapshot);
+        assert_eq!((delta.rounds, delta.messages, delta.dropped), (1, 2, 0));
+    }
+
+    #[test]
+    fn inbox_drain_clears() {
+        let mut net = mesh(AsyncConfig::zero_latency(), 3);
+        let (mut with_mail, mut mail) = (Vec::new(), Vec::new());
+        net.send(n(0), n(1), 1);
+        net.step();
+        net.nodes_with_mail_into(&mut with_mail);
+        assert_eq!(with_mail, vec![n(1)]);
+        net.drain_inbox_into(n(1), &mut mail);
+        assert_eq!(mail.len(), 1);
+        net.drain_inbox_into(n(1), &mut mail);
+        assert!(mail.is_empty());
+        net.nodes_with_mail_into(&mut with_mail);
+        assert!(with_mail.is_empty());
+    }
+
+    #[test]
+    fn nodes_with_mail_into_reuses_buffer() {
+        let mut net = mesh(AsyncConfig::zero_latency(), 3);
+        net.send(n(0), n(1), 1);
+        net.send(n(0), n(2), 2);
+        net.step();
+        let mut buf = vec![n(99)]; // stale content must be cleared
+        net.nodes_with_mail_into(&mut buf);
+        assert_eq!(buf, vec![n(1), n(2)]);
+    }
+
+    #[test]
+    fn removed_node_inbox_discarded() {
+        let mut net = mesh(AsyncConfig::zero_latency(), 3);
+        net.send(n(0), n(1), 1);
+        net.step();
+        net.remove_node(n(1));
+        net.add_node(n(1));
+        let mut mail = Vec::new();
+        net.drain_inbox_into(n(1), &mut mail);
+        assert!(mail.is_empty());
     }
 
     #[test]
@@ -663,14 +726,28 @@ mod tests {
 
     #[test]
     fn dead_recipient_drops_at_delivery_time() {
-        let mut net = mesh(AsyncConfig::uniform(3, 3, 1), 3);
-        net.send(n(0), n(2), 5);
-        net.step();
-        net.remove_node(n(2)); // dies while the message is in flight
-        net.step();
-        net.step();
-        assert_eq!(net.counters().dropped, 1);
-        assert_eq!(net.counters().messages, 0);
+        for (config, steps_before) in [
+            (AsyncConfig::uniform(3, 3, 1), 1),
+            (AsyncConfig::zero_latency(), 0),
+        ] {
+            let mut net = mesh(config, 3);
+            net.send(n(0), n(2), 5);
+            for _ in 0..steps_before {
+                net.step();
+            }
+            net.remove_node(n(2)); // dies while the message is in flight
+            while net.has_pending() {
+                net.step();
+            }
+            assert_eq!(net.counters().dropped, 1);
+            assert_eq!(net.counters().messages, 0);
+            let mut dropped = Vec::new();
+            net.drain_dropped_into(&mut dropped);
+            assert_eq!(dropped.len(), 1);
+            assert_eq!(dropped[0].to, n(2));
+            net.drain_dropped_into(&mut dropped);
+            assert!(dropped.is_empty(), "drained once");
+        }
     }
 
     #[test]
@@ -685,10 +762,28 @@ mod tests {
     fn zero_min_latency_is_rejected() {
         let _ = AsyncNetwork::<u32>::new(AsyncConfig {
             min_latency: 0,
+            ..AsyncConfig::zero_latency()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "empty latency range")]
+    fn inverted_latency_range_is_rejected() {
+        // Would wrap the per-link latency draw to ~2^64 ticks and hang the
+        // protocol in release builds.
+        let _ = AsyncNetwork::<u32>::new(AsyncConfig {
+            min_latency: 3,
             max_latency: 1,
-            jitter: 0,
-            drop_prob: 0.0,
-            seed: 0,
+            ..AsyncConfig::zero_latency()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "drop probability out of range")]
+    fn certain_drop_is_rejected() {
+        let _ = AsyncNetwork::<u32>::new(AsyncConfig {
+            drop_prob: 1.0,
+            ..AsyncConfig::zero_latency()
         });
     }
 

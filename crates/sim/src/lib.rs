@@ -1,24 +1,20 @@
 //! # xheal-sim
 //!
-//! Message-delivery substrates for the paper's distributed model (Section
-//! 2): the protocol layer in `xheal-dist` is written against the
-//! [`NetworkEngine`] trait (membership, send, step, drain, counters) and
-//! this crate ships two implementations of it:
+//! The message-delivery substrate for the paper's distributed model
+//! (Section 2): the protocol layer in `xheal-dist` is written against the
+//! [`NetworkEngine`] trait (membership, send, step, drain, counters), and
+//! [`AsyncNetwork`] implements it as a **deterministic event queue**. Every
+//! directed link gets a seeded base latency, messages can carry extra
+//! jitter and overtake each other (reordering), and an optional seeded
+//! fault rate loses messages in flight.
 //!
-//! - [`SyncNetwork`] — the **LOCAL model taken literally**: unbounded
-//!   message sizes, reliable private channels, every message delivered
-//!   exactly one synchronous round after it was sent. This is the reference
-//!   substrate; the paper's recovery-time (rounds) and communication
-//!   (messages) metrics are read straight off its [`Counters`].
-//! - [`AsyncNetwork`] — a **deterministic event queue** modelling realistic
-//!   delivery: every directed link gets a seeded base latency, messages can
-//!   carry extra jitter and overtake each other (reordering), and an
-//!   optional seeded fault rate loses messages in flight. With
-//!   [`AsyncConfig::zero_latency`] it degenerates to the synchronous
-//!   engine's behaviour, which the cross-validation suite exploits to pin
-//!   the actor protocol: bit-identical topologies across engines.
+//! [`AsyncConfig::zero_latency`] — the engine's [`Default`] — is the
+//! **LOCAL model taken literally**: unbounded message sizes, reliable
+//! private channels, every message delivered exactly one synchronous round
+//! after it was sent. The paper's recovery-time (rounds) and communication
+//! (messages) metrics are read straight off its [`Counters`].
 //!
-//! Both engines count rounds, delivered messages, and drops — exactly the
+//! The engine counts rounds, delivered messages, and drops — exactly the
 //! paper's success metrics 4 (recovery time) and 5 (communication
 //! complexity) plus the loss the fault injector needs to observe. Dropped
 //! messages are kept (not just counted) and handed to the protocol layer
@@ -26,43 +22,26 @@
 //! runtime in `xheal-dist` cancels expectations on replies that will never
 //! arrive.
 //!
-//! The engines are payload-generic; `xheal-dist` instantiates them with the
+//! The engine is payload-generic; `xheal-dist` instantiates it with the
 //! Xheal recovery protocol's message enum.
 //!
 //! # Examples
 //!
 //! ```
 //! use xheal_graph::NodeId;
-//! use xheal_sim::SyncNetwork;
+//! use xheal_sim::{AsyncConfig, AsyncNetwork, NetworkEngine};
 //!
-//! let mut net: SyncNetwork<&'static str> = SyncNetwork::new();
+//! let mut net: AsyncNetwork<&'static str> = AsyncNetwork::new(AsyncConfig::zero_latency());
 //! let (a, b) = (NodeId::new(1), NodeId::new(2));
 //! net.add_node(a);
 //! net.add_node(b);
 //! net.send(a, b, "ping");
 //! assert_eq!(net.step(), 1); // delivered in the next round
-//! let inbox = net.drain_inbox(b);
+//! let mut inbox = Vec::new();
+//! net.drain_inbox_into(b, &mut inbox);
 //! assert_eq!(inbox[0].payload, "ping");
-//! assert_eq!(net.rounds(), 1);
-//! assert_eq!(net.messages(), 1);
-//! ```
-//!
-//! The same exchange under latency — generic code sees one trait:
-//!
-//! ```
-//! use xheal_graph::NodeId;
-//! use xheal_sim::{AsyncConfig, AsyncNetwork, NetworkEngine};
-//!
-//! let mut net: AsyncNetwork<u32> = AsyncNetwork::new(AsyncConfig::uniform(1, 4, 7));
-//! net.add_node(NodeId::new(1));
-//! net.add_node(NodeId::new(2));
-//! net.send(NodeId::new(1), NodeId::new(2), 99);
-//! let mut rounds = 0;
-//! while net.has_pending() {
-//!     net.step();
-//!     rounds += 1;
-//! }
-//! assert!((1..=4).contains(&rounds)); // the link's seeded latency
+//! assert_eq!(net.counters().rounds, 1);
+//! assert_eq!(net.counters().messages, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -71,8 +50,6 @@
 mod engine;
 mod event_queue;
 mod mailbox;
-mod sync;
 
 pub use engine::{Counters, Envelope, NetworkEngine};
 pub use event_queue::{AsyncConfig, AsyncNetwork};
-pub use sync::SyncNetwork;

@@ -1,10 +1,10 @@
-//! The flat mailbox arena shared by both engines: membership, inboxes,
-//! the dropped-message log, counters, and the optional per-kind tally.
+//! The flat mailbox arena behind [`crate::AsyncNetwork`]: membership,
+//! inboxes, the dropped-message log, counters, and the optional per-kind
+//! tally.
 //!
-//! Both [`crate::SyncNetwork`] and [`crate::AsyncNetwork`] used to keep
-//! membership in a `BTreeSet<NodeId>` and inboxes in a
-//! `BTreeMap<NodeId, Vec<Envelope>>` — a pointer-chasing tree lookup per
-//! delivery and an O(live-nodes) full-map walk per
+//! The engine used to keep membership in a `BTreeSet<NodeId>` and inboxes
+//! in a `BTreeMap<NodeId, Vec<Envelope>>` — a pointer-chasing tree lookup
+//! per delivery and an O(live-nodes) full-map walk per
 //! [`crate::NetworkEngine::nodes_with_mail_into`] call. [`Mailboxes`]
 //! replaces both with a slot arena:
 //!

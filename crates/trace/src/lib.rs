@@ -66,7 +66,7 @@ pub enum Layer {
     Executor,
     /// The distributed actor protocol (per-repair message rounds).
     Protocol,
-    /// The message substrate (`SyncNetwork` / calendar-queue `AsyncNetwork`).
+    /// The message substrate (`xheal-sim`'s calendar-queue `AsyncNetwork`).
     Transport,
     /// `xheal-monitor` checkpoints and health transitions.
     Monitor,

@@ -363,8 +363,10 @@ where
 /// `star-heal`, `xheal`, `xheal-dist-async`, `xheal-dist-sync`, `xheal-par`.
 ///
 /// `kappa` parameterizes the Xheal family; seeds are passed through from the
-/// arena. The async distributed engine runs uniform 1–3 tick latency seeded
-/// from the engine seed; DEX runs its default degree-8 / load-3 overlay.
+/// arena. Both distributed rows run `AsyncNetwork`: `xheal-dist-sync` at
+/// zero latency (`DistXheal::builder`'s default, synchronous LOCAL-model
+/// rounds), `xheal-dist-async` with uniform 1–3 tick latency seeded from
+/// the engine seed. DEX runs its default degree-8 / load-3 overlay.
 pub fn standard_registry(kappa: usize) -> EngineRegistry {
     let mut reg = EngineRegistry::new();
     reg.register("xheal", move |g, s| {

@@ -3,7 +3,7 @@
 #![forbid(unsafe_code)]
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use xheal_core::{Healer, Xheal, XhealConfig};
+use xheal_core::{Xheal, XhealConfig};
 use xheal_graph::{generators, Graph, NodeId};
 
 /// A standard churn schedule: returns the healer after `steps` mixed events
@@ -32,14 +32,14 @@ pub fn churned_xheal(
             }
             let v = NodeId::new(next);
             next += 1;
-            healer.on_insert(v, &nbrs).unwrap();
+            healer.heal_insert(v, &nbrs).unwrap();
             gprime.add_node(v).unwrap();
             for &u in &nbrs {
                 let _ = gprime.add_black_edge(v, u);
             }
         } else {
             let victim = nodes[rng.random_range(0..nodes.len())];
-            healer.on_delete(victim).unwrap();
+            healer.heal_delete(victim).unwrap();
         }
     }
     (healer, gprime)

@@ -114,9 +114,9 @@ fn distributed_message_cost_tracks_degree() {
 
 #[test]
 fn every_engine_runs_behind_the_unified_trait() {
-    // Xheal, DistXheal (over either engine), and all five baselines run
-    // behind the same `HealingEngine` trait object, so every experiment
-    // harness accepts any of them.
+    // Xheal, DistXheal (at zero latency and under latency), and all five
+    // baselines run behind the same `HealingEngine` trait object, so every
+    // experiment harness accepts any of them.
     let g0 = generators::cycle(12);
     let mut engines: Vec<Box<dyn HealingEngine>> = vec![
         Box::new(Xheal::new(&g0, XhealConfig::default())),
@@ -153,12 +153,7 @@ fn every_engine_is_deterministic_under_the_generic_driver() {
         let cfg = XhealConfig::new(4).with_seed(9);
         let mut engines: Vec<Box<dyn HealingEngine>> = vec![
             Box::new(Xheal::new(&g0, cfg.clone())),
-            Box::new(DistXheal::new(&g0, cfg.clone())),
-            Box::new(DistXheal::with_engine(
-                &g0,
-                cfg,
-                AsyncNetwork::<Msg>::new(AsyncConfig::zero_latency()),
-            )),
+            Box::new(DistXheal::new(&g0, cfg)),
         ];
         engines.extend(all_engines(&g0));
         engines
@@ -174,10 +169,10 @@ fn every_engine_is_deterministic_under_the_generic_driver() {
 
 #[test]
 fn async_zero_latency_bit_identical_three_ways() {
-    // The acceptance gate of the unified API: Xheal, DistXheal over the
-    // synchronous engine, and DistXheal over the zero-latency async engine
-    // produce bit-identical topologies on identical schedules — including
-    // batch deletions — all driven by the one generic driver.
+    // The acceptance gate of the unified API: Xheal and the zero-latency
+    // `DistXheal::new` produce bit-identical topologies and planner stats on
+    // identical schedules — batch deletions included — with the distributed
+    // side driven by the one generic driver.
     let mut rng = StdRng::seed_from_u64(2024);
     let g0 = generators::connected_erdos_renyi(40, 0.1, &mut rng);
     let cfg = XhealConfig::new(6).with_seed(4242);
@@ -190,39 +185,12 @@ fn async_zero_latency_bit_identical_three_ways() {
         "schedule must contain real bursts"
     );
 
-    let mut sync_dist = DistXheal::new(&g0, cfg.clone());
-    let sync_outcomes = drive(&mut sync_dist, &summary.events);
-    let mut async_dist = DistXheal::with_engine(
-        &g0,
-        cfg,
-        AsyncNetwork::<Msg>::new(AsyncConfig::zero_latency()),
-    );
-    let async_outcomes = drive(&mut async_dist, &summary.events);
+    let mut dist = DistXheal::new(&g0, cfg);
+    drive(&mut dist, &summary.events);
 
-    assert_eq!(central.graph(), sync_dist.graph(), "sync diverged");
-    assert_eq!(central.graph(), async_dist.graph(), "async diverged");
-    assert_eq!(central.stats(), sync_dist.planner().stats());
-    assert_eq!(central.stats(), async_dist.planner().stats());
-    // Zero latency means the delivery schedule is the synchronous one, so
-    // even the measured per-repair costs in the outcomes coincide.
-    assert_eq!(sync_dist.costs().len(), async_dist.costs().len());
-    for (a, b) in sync_outcomes.iter().zip(&async_outcomes) {
-        match (a.cost(), b.cost()) {
-            (Some(ca), Some(cb)) => {
-                assert_eq!((ca.rounds, ca.messages), (cb.rounds, cb.messages));
-                assert_eq!(ca.repairs.len(), cb.repairs.len());
-                for (ra, rb) in ca.repairs.iter().zip(&cb.repairs) {
-                    assert_eq!(
-                        (ra.repair, ra.rounds, ra.messages),
-                        (rb.repair, rb.rounds, rb.messages)
-                    );
-                }
-            }
-            (None, None) => {}
-            _ => panic!("cost presence diverged between engines"),
-        }
-    }
-    assert!(components::is_connected(async_dist.graph()));
+    assert_eq!(central.graph(), dist.graph(), "distributed diverged");
+    assert_eq!(central.stats(), dist.planner().stats());
+    assert!(components::is_connected(dist.graph()));
 }
 
 #[test]

@@ -175,8 +175,8 @@ fn next_event(engine: &dyn HealingEngine, rng: &mut StdRng, next_id: &mut u64) -
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// All three executors (centralized, distributed-sync,
-    /// distributed-async) run one schedule through their grouped apply
+    /// All three executors (centralized, distributed at zero latency,
+    /// distributed under latency) run one schedule through their grouped apply
     /// paths: each engine's [`DeltaMirror`] must reconstruct its graph
     /// after every event, and the three engines' fingerprints must agree
     /// with each other at every step.

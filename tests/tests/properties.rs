@@ -92,7 +92,7 @@ proptest! {
 
     /// Healed graphs never contain stale cloud colors (label/registry
     /// consistency after arbitrary schedules) — exercised through the
-    /// Healer trait like the experiment harness does.
+    /// workload runner like the experiment harness does.
     #[test]
     fn no_stale_labels_via_trait(seed in any::<u64>(), steps in 5usize..30) {
         let mut rng = StdRng::seed_from_u64(seed);

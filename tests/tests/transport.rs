@@ -3,12 +3,12 @@
 //! PR 8 rewrote `xheal-sim`'s internals (calendar-wheel scheduling, flat
 //! mailbox arena); the in-crate property tests pin the new scheduler
 //! bit-identical to the old heap against a `#[cfg(test)]` oracle. This
-//! suite closes the loop one level up: all four Xheal executors —
-//! sequential `Xheal`, component-parallel `ParallelXheal`, and `DistXheal`
-//! over both the synchronous and the asynchronous engine — replay
-//! identical schedules over the new transport and land on bit-identical
-//! topologies, and the engines' per-kind send tally conserves messages
-//! (sent = delivered + dropped once the protocol quiesces).
+//! suite closes the loop one level up: sequential `Xheal`,
+//! component-parallel `ParallelXheal`, and `DistXheal` at zero latency and
+//! under seeded latency replay identical schedules over the new transport
+//! and land on bit-identical topologies, and the engine's per-kind send
+//! tally conserves messages (sent = delivered + dropped once the protocol
+//! quiesces).
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -21,7 +21,7 @@ use xheal_workload::{run, RandomChurn};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// One churn schedule, four executors, one topology. The asynchronous
+    /// One churn schedule, four executors, one topology. The distributed
     /// executor runs twice: at zero latency (the synchronous delivery
     /// schedule) and under seeded latency + jitter (reordered in-flight
     /// traffic) — healing decisions must not depend on delivery timing.
@@ -43,17 +43,9 @@ proptest! {
 
         let mut executors: Vec<(&str, Box<dyn HealingEngine>)> = vec![
             ("parallel", Box::new(ParallelXheal::new(&g0, cfg.clone(), 4))),
-            ("dist-sync", Box::new(DistXheal::new(&g0, cfg.clone()))),
+            ("dist-zero-latency", Box::new(DistXheal::new(&g0, cfg.clone()))),
             (
-                "dist-async-zero",
-                Box::new(DistXheal::with_engine(
-                    &g0,
-                    cfg.clone(),
-                    AsyncNetwork::<Msg>::new(AsyncConfig::zero_latency()),
-                )),
-            ),
-            (
-                "dist-async-latency",
+                "dist-latency",
                 Box::new(DistXheal::with_engine(
                     &g0,
                     cfg.clone(),
@@ -87,25 +79,34 @@ fn kind_tally_conserves_sends_across_engines() {
     // Every sent protocol message is tallied under exactly one `Msg` kind,
     // and once a repair quiesces each send was either delivered or dropped
     // (a recipient deleted mid-protocol) — the breakdown must sum to the
-    // engine's delivered + dropped totals, on both engines.
+    // engine's delivered + dropped totals, at zero latency and under
+    // latency.
     let mut rng = StdRng::seed_from_u64(0x7A11);
     let g0 = generators::random_regular(80, 6, &mut rng);
     let cfg = XhealConfig::new(4).with_seed(11);
-    let mut sync_net = DistXheal::new(&g0, cfg.clone());
-    let mut async_net = DistXheal::with_engine(
+    let mut zero_net = DistXheal::new(&g0, cfg.clone());
+    let mut latency_net = DistXheal::with_engine(
         &g0,
         cfg,
         AsyncNetwork::<Msg>::new(AsyncConfig::uniform(1, 3, 5).with_jitter(1)),
     );
     for _ in 0..25 {
-        let nodes = sync_net.graph().node_vec();
+        let nodes = zero_net.graph().node_vec();
         let victim = nodes[rand::Rng::random_range(&mut rng, 0..nodes.len())];
-        sync_net.delete(victim).unwrap();
-        async_net.delete(victim).unwrap();
+        zero_net.delete(victim).unwrap();
+        latency_net.delete(victim).unwrap();
     }
     for (name, breakdown, counters) in [
-        ("sync", sync_net.message_breakdown(), sync_net.counters()),
-        ("async", async_net.message_breakdown(), async_net.counters()),
+        (
+            "zero latency",
+            zero_net.message_breakdown(),
+            zero_net.counters(),
+        ),
+        (
+            "latency",
+            latency_net.message_breakdown(),
+            latency_net.counters(),
+        ),
     ] {
         let (labels, counts) = breakdown;
         assert_eq!(labels, Msg::KIND_LABELS, "{name}: classifier labels");
@@ -129,5 +130,5 @@ fn kind_tally_conserves_sends_across_engines() {
             "{name}: unacknowledged splice waves"
         );
     }
-    assert_eq!(sync_net.graph(), async_net.graph());
+    assert_eq!(zero_net.graph(), latency_net.graph());
 }
