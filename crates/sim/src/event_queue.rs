@@ -725,29 +725,31 @@ mod tests {
     }
 
     #[test]
+    fn messages_to_dead_nodes_are_dropped() {
+        let mut net = mesh(AsyncConfig::zero_latency(), 3);
+        net.send(n(0), n(2), 1);
+        net.remove_node(n(2));
+        net.step();
+        assert_eq!(net.counters().dropped, 1);
+        assert_eq!(net.counters().messages, 0);
+        let mut dropped = Vec::new();
+        net.drain_dropped_into(&mut dropped);
+        assert_eq!(dropped.len(), 1);
+        assert_eq!(dropped[0].to, n(2));
+        net.drain_dropped_into(&mut dropped);
+        assert!(dropped.is_empty(), "drained once");
+    }
+
+    #[test]
     fn dead_recipient_drops_at_delivery_time() {
-        for (config, steps_before) in [
-            (AsyncConfig::uniform(3, 3, 1), 1),
-            (AsyncConfig::zero_latency(), 0),
-        ] {
-            let mut net = mesh(config, 3);
-            net.send(n(0), n(2), 5);
-            for _ in 0..steps_before {
-                net.step();
-            }
-            net.remove_node(n(2)); // dies while the message is in flight
-            while net.has_pending() {
-                net.step();
-            }
-            assert_eq!(net.counters().dropped, 1);
-            assert_eq!(net.counters().messages, 0);
-            let mut dropped = Vec::new();
-            net.drain_dropped_into(&mut dropped);
-            assert_eq!(dropped.len(), 1);
-            assert_eq!(dropped[0].to, n(2));
-            net.drain_dropped_into(&mut dropped);
-            assert!(dropped.is_empty(), "drained once");
-        }
+        let mut net = mesh(AsyncConfig::uniform(3, 3, 1), 3);
+        net.send(n(0), n(2), 5);
+        net.step();
+        net.remove_node(n(2)); // dies while the message is in flight
+        net.step();
+        net.step();
+        assert_eq!(net.counters().dropped, 1);
+        assert_eq!(net.counters().messages, 0);
     }
 
     #[test]
@@ -755,6 +757,15 @@ mod tests {
     fn unregistered_sender_panics() {
         let mut net: AsyncNetwork<u32> = mesh(AsyncConfig::zero_latency(), 1);
         net.send(n(9), n(0), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not registered")]
+    fn removed_sender_panics() {
+        // A deleted node leaves the membership and can no longer send.
+        let mut net: AsyncNetwork<u32> = mesh(AsyncConfig::zero_latency(), 3);
+        net.remove_node(n(2));
+        net.send(n(2), n(0), 1);
     }
 
     #[test]
