@@ -18,9 +18,9 @@
 //!   [PODC 2008];
 //! - [`ForgivingLike`]: the same tree patch but ordered by current degree
 //!   (low-degree nodes near the root), approximating *Forgiving Graph*
-//!   [PODC 2009]'s degree-balancing. See DESIGN.md §6 for why these
-//!   simplifications preserve the comparison the paper makes (tree-shaped
-//!   patches produce poor cuts regardless of virtual-node bookkeeping).
+//!   [PODC 2009]'s degree-balancing. These simplifications preserve the
+//!   comparison the paper makes: tree-shaped patches produce poor cuts
+//!   regardless of virtual-node bookkeeping.
 //!
 //! # Examples
 //!

@@ -1,4 +1,4 @@
-//! E10 — ablations of the design choices DESIGN.md calls out:
+//! E10 — ablations of three design choices of Xheal's cloud machinery:
 //!
 //! (a) **no secondary clouds** — every multi-cloud repair combines, the
 //!     amortized path the secondary machinery exists to avoid (since

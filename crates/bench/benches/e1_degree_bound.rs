@@ -5,7 +5,8 @@
 //! max-degree-targeted deletion, for κ ∈ {4, 6, 8}. The table reports the
 //! worst observed degree-increase ratio (success metric 1) and the worst
 //! additive-slack witness `(deg - κ·deg')/κ`, which Lemma 3 bounds by 2
-//! (our label-set strengthening allows up to 3 — DESIGN.md §3.1).
+//! (our label-set strengthening allows up to 3: an edge keeps every cloud
+//! label that demands it, see `xheal_graph::EdgeLabels`).
 
 use rand::{rngs::StdRng, SeedableRng};
 use xheal_bench::{f, header, row, srow, verdict};

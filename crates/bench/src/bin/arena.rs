@@ -292,8 +292,4 @@ fn main() {
     let out = json(&matrix, smoke, steps, dex_bound);
     std::fs::write(&out_path, &out).expect("write arena report");
     println!("\nwrote {out_path}");
-
-    if let Some(trace_path) = xheal_bench::trace_arg(&args) {
-        xheal_bench::capture_trace(&trace_path, ARENA_SEED);
-    }
 }

@@ -1,17 +1,22 @@
 //! The pay-for-what-you-use contract, measured with the counting global
 //! allocator (`--features bench`): disabled hooks allocate nothing at all,
-//! and an attached tracer's steady-state recording allocates nothing after
-//! its preallocated ring warms up.
+//! an attached tracer's steady-state recording allocates nothing after its
+//! preallocated ring warms up, and the transport's steady-state rounds
+//! (send, step, find and drain the inboxes with mail) allocate nothing once
+//! every inbox, wheel bucket and drain buffer has been used.
 //!
 //! The counter is process-global and the libtest harness allocates from
 //! its own threads (progress lines, panic payloads), so each window is
 //! measured best-of-N: harness noise is transient, while a real per-call
-//! allocation would taint every attempt with >=10k counts.
+//! allocation would taint every attempt with one count per loop iteration.
 #![cfg(feature = "bench")]
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use xheal_bench::alloc_count;
 use xheal_core::{Xheal, XhealConfig};
 use xheal_graph::{generators, NodeId};
+use xheal_sim::{AsyncConfig, AsyncNetwork, NetworkEngine};
 use xheal_trace::{hook, Layer, SharedTracer, Tracer};
 
 const ATTEMPTS: usize = 8;
@@ -97,4 +102,64 @@ fn untraced_engine_churn_is_alloc_identical_to_seed_behavior() {
     let (a, b) = (run(), run());
     assert!(a > 0, "engine churn should allocate (sanity)");
     assert_eq!(a, b);
+}
+
+#[test]
+fn transport_steady_state_rounds_allocate_nothing() {
+    let csr = generators::ring_with_chords(2000).csr_view();
+    let mut net: AsyncNetwork<u64> =
+        AsyncNetwork::new(AsyncConfig::uniform(1, 2, 42).with_jitter(1));
+    for i in 0..csr.len() {
+        net.add_node(csr.node(i));
+    }
+    let mut with_mail: Vec<NodeId> = Vec::new();
+    let mut mail = Vec::with_capacity(64);
+    // Warm sweep: an inbox allocates on its first delivery, so one
+    // self-addressed message per node, delivered and drained, touches
+    // every inbox (and sizes the wheel buckets and `with_mail`).
+    for i in 0..csr.len() {
+        net.send(csr.node(i), csr.node(i), 0);
+    }
+    while net.has_pending() {
+        net.step();
+        net.nodes_with_mail_into(&mut with_mail);
+        for &v in &with_mail {
+            net.drain_inbox_into(v, &mut mail);
+        }
+    }
+    // 512 messages random-walk over the CSR: every delivery is forwarded
+    // to a random neighbour of its recipient, so the in-flight count stays
+    // 512 and every round sends, steps and drains.
+    let mut rng = StdRng::seed_from_u64(7);
+    let hop = |rng: &mut StdRng, i: usize| {
+        let nbrs = csr.neighbors_of(i);
+        csr.node(nbrs[rng.random_range(0..nbrs.len())] as usize)
+    };
+    for _ in 0..512 {
+        let i = rng.random_range(0..csr.len());
+        let next = hop(&mut rng, i);
+        net.send(csr.node(i), next, 0);
+    }
+    let mut round = || {
+        net.step();
+        net.nodes_with_mail_into(&mut with_mail);
+        for &v in &with_mail {
+            net.drain_inbox_into(v, &mut mail);
+            for env in mail.drain(..) {
+                let i = csr.index_of(env.to).expect("every node stays live");
+                let next = hop(&mut rng, i);
+                net.send(env.to, next, env.payload + 1);
+            }
+        }
+    };
+    for _ in 0..50 {
+        round();
+    }
+    let delta = min_delta(|| {
+        for _ in 0..300 {
+            round();
+        }
+    });
+    assert_eq!(delta, 0, "steady-state transport rounds allocated");
+    assert_eq!(net.in_flight(), 512, "the walk lost messages");
 }

@@ -1,4 +1,4 @@
-//! Structural invariants of the Xheal state (DESIGN.md §5).
+//! Structural invariants of the Xheal state.
 //!
 //! These are checked after every heal in the test suites and property tests;
 //! each corresponds to a structural fact the paper's analysis relies on.

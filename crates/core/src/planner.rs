@@ -382,8 +382,8 @@ impl RepairPlanner {
                     .collect();
                 group.extend(singletons);
                 if let Some(a) = anchor {
-                    // Connectivity fix (DESIGN.md §3.2): an F-side anchor
-                    // joins the new secondary so the two groups stay linked.
+                    // Connectivity fix: an F-side anchor joins the new
+                    // secondary so the two groups stay linked.
                     if !group.is_empty() {
                         group.push(a);
                     }

@@ -5,7 +5,7 @@
 //! demand the same edge, and a recolored black edge that its cloud later drops
 //! would silently erase an adversary-inserted edge, so this reproduction keeps
 //! a small *set* of labels per edge instead: a black flag plus a set of cloud
-//! colors (see DESIGN.md §3.1). An edge exists while at least one label does.
+//! colors. An edge exists while at least one label does.
 
 use std::fmt;
 

@@ -10,8 +10,9 @@
 //! crate provides:
 //!
 //! - [`Graph`]: a deterministic, mutation-friendly simple graph whose edges
-//!   carry an [`EdgeLabels`] set (black flag + cloud colors — see DESIGN.md
-//!   for why a *set* rather than the paper's single color),
+//!   carry an [`EdgeLabels`] set (black flag + cloud colors — a *set* rather
+//!   than the paper's single color, so two clouds can share an edge and a
+//!   cloud dropping a recolored edge never erases a black one),
 //! - [`traversal`]: BFS distances, shortest paths, diameter (stretch metric),
 //! - [`components`]: connectivity and articulation points (adversary tooling),
 //! - [`cuts`]: exact edge expansion `h(G)` and conductance `φ(G)` for small

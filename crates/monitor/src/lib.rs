@@ -563,7 +563,7 @@ impl RunObserver for MonitorHook {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use xheal_core::{Xheal, XhealConfig};
+    use xheal_core::{HealingEngine, Xheal, XhealConfig};
     use xheal_graph::{generators, NodeId};
     use xheal_metrics::degree_increase;
     use xheal_spectral::normalized_algebraic_connectivity;
@@ -590,30 +590,31 @@ mod tests {
         assert_eq!(m.degrees().max(), fresh.max());
     }
 
-    #[test]
-    fn monitor_tracks_xheal_churn_exactly() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let g0 = generators::connected_erdos_renyi(30, 0.12, &mut rng);
-        let monitor = Rc::new(RefCell::new(Monitor::new(&g0, MonitorConfig::default())));
+    /// Drives `events` events from `next_event` through `Xheal` with a
+    /// subscribed monitor. After every event the maintained counts,
+    /// histograms and degree increase must equal a recount; every
+    /// `checkpoint_every` events the checkpoint must see one component and
+    /// a warm λ₂ within 1e-6 of the cold `normalized_algebraic_connectivity`.
+    fn assert_tracks_churn(
+        g0: &Graph,
+        config: XhealConfig,
+        events: usize,
+        checkpoint_every: usize,
+        mut next_event: impl FnMut(&Graph, usize) -> Event,
+    ) {
+        let monitor = Rc::new(RefCell::new(Monitor::new(g0, MonitorConfig::default())));
         let mut net = Xheal::builder()
-            .kappa(4)
-            .seed(9)
+            .config(config)
             .sink(Box::new(Rc::clone(&monitor)))
-            .build(&g0);
-        let mut gp = xheal_metrics::GPrime::new(&g0);
-        let mut next = 500u64;
-        for step in 0..60 {
-            let nodes = net.graph().node_vec();
-            if step % 3 == 0 {
-                let nbrs = vec![nodes[step % nodes.len()]];
-                net.heal_insert(n(next), &nbrs).unwrap();
-                gp.record_insert(n(next), &nbrs).unwrap();
-                next += 1;
-            } else {
-                let victim = nodes[(step * 7) % nodes.len()];
-                net.heal_delete(victim).unwrap();
+            .build(g0);
+        let mut gp = xheal_metrics::GPrime::new(g0);
+        for step in 0..events {
+            let event = next_event(net.graph(), step);
+            if let Event::Insert { node, neighbors } = &event {
+                gp.record_insert(*node, neighbors).unwrap();
             }
-            let m = monitor.borrow();
+            net.apply(&event).unwrap();
+            let mut m = monitor.borrow_mut();
             assert_eq!(m.node_count(), net.graph().node_count(), "step {step}");
             assert_eq!(m.edge_count(), net.graph().edge_count(), "step {step}");
             assert_histograms_match(&m, net.graph());
@@ -623,20 +624,80 @@ mod tests {
                 "step {step}: maintained {} vs recomputed {expect}",
                 m.degree_increase()
             );
+            if (step + 1) % checkpoint_every == 0 {
+                let report = m.checkpoint();
+                assert_eq!(report.components, 1, "step {step}");
+                let exact = normalized_algebraic_connectivity(net.graph());
+                assert!(
+                    (report.spectral_gap.lambda - exact).abs() < 1e-6,
+                    "step {step}: warm gap {} vs fresh {exact}",
+                    report.spectral_gap.lambda
+                );
+                // Healed paths may even be *shorter* than G' (clouds add
+                // shortcuts), but a connected graph never yields an
+                // infinite stretch over comparable pairs.
+                assert!(report.stretch.is_none_or(|s| s > 0.0 && s.is_finite()));
+            }
         }
-        let mut m = monitor.borrow_mut();
-        let report = m.checkpoint();
-        assert_eq!(report.components, 1);
-        let exact = normalized_algebraic_connectivity(net.graph());
-        assert!(
-            (report.spectral_gap.lambda - exact).abs() < 1e-6,
-            "warm gap {} vs fresh {exact}",
-            report.spectral_gap.lambda
-        );
-        // Healed paths may even be *shorter* than G' (clouds add
-        // shortcuts), but a connected graph never yields an infinite
-        // stretch over comparable pairs.
-        assert!(report.stretch.is_none_or(|s| s > 0.0 && s.is_finite()));
+    }
+
+    #[test]
+    fn monitor_tracks_xheal_churn_exactly() {
+        // A sparse G(n, p) graph: one insert per two deletions, one
+        // checkpoint at the end.
+        let mut rng = StdRng::seed_from_u64(5);
+        let g0 = generators::connected_erdos_renyi(30, 0.12, &mut rng);
+        let mut next = 500u64;
+        assert_tracks_churn(&g0, XhealConfig::new(4).with_seed(9), 60, 60, |g, step| {
+            let nodes = g.node_vec();
+            if step % 3 == 0 {
+                next += 1;
+                Event::Insert {
+                    node: n(next - 1),
+                    neighbors: vec![nodes[step % nodes.len()]],
+                }
+            } else {
+                Event::Delete {
+                    node: nodes[(step * 7) % nodes.len()],
+                }
+            }
+        });
+
+        // A random 6-regular graph, n = 200: 240 events mixing inserts of
+        // 1–3 edges (6 in 12), single deletions (5 in 12) and batches of
+        // 2–3 victims (1 in 12), with a checkpoint every 80 events, so the
+        // warm gap is compared after many restarts, not once.
+        let g0 = generators::random_regular(200, 6, &mut StdRng::seed_from_u64(200 ^ 0xA11CE));
+        let mut adv = StdRng::seed_from_u64(0x5EED_BEEF);
+        let mut next = 201u64;
+        assert_tracks_churn(&g0, XhealConfig::new(6).with_seed(17), 240, 80, |g, _| {
+            let nodes = g.node_vec();
+            let roll = adv.random_range(0..12u32);
+            if roll < 6 {
+                next += 1;
+                let mut neighbors: Vec<NodeId> = (0..adv.random_range(1..=3usize))
+                    .map(|_| nodes[adv.random_range(0..nodes.len())])
+                    .collect();
+                neighbors.dedup();
+                Event::Insert {
+                    node: n(next - 1),
+                    neighbors,
+                }
+            } else if roll < 11 {
+                Event::Delete {
+                    node: nodes[adv.random_range(0..nodes.len())],
+                }
+            } else {
+                let mut victims: Vec<NodeId> = Vec::new();
+                for _ in 0..adv.random_range(2..=3usize) {
+                    let v = nodes[adv.random_range(0..nodes.len())];
+                    if !victims.contains(&v) {
+                        victims.push(v);
+                    }
+                }
+                Event::DeleteBatch { nodes: victims }
+            }
+        });
     }
 
     #[test]
@@ -729,7 +790,6 @@ mod tests {
     #[test]
     fn checkpoint_expansion_is_a_constructive_cut_under_mixed_churn() {
         use xheal_baselines::NoHeal;
-        use xheal_core::HealingEngine;
         use xheal_graph::cuts;
 
         let (mut checkpoints, mut split) = (0, 0);

@@ -8,7 +8,8 @@
 //! restarted Lanczos sweeps seeded with it and converges in a handful of
 //! iterations — while still agreeing with the from-scratch
 //! `normalized_algebraic_connectivity` to well below 1e-6 at checkpoints
-//! (asserted by the `monitor_overhead` harness). The converged vector is
+//! (asserted at every checkpoint of the crate's
+//! `monitor_tracks_xheal_churn_exactly` test). The converged vector is
 //! kept, and its Cheeger sweep gives the monitor's expansion estimate
 //! without a second solve.
 

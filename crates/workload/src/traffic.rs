@@ -4,8 +4,8 @@
 //! The paper's guarantees are about the *healed overlay as a routing
 //! substrate*: constant-factor degree increase and O(log n) stretch mean
 //! traffic keeps flowing after arbitrary churn. This module supplies the
-//! traffic side of that claim for the throughput benchmark and any
-//! higher-level harness:
+//! traffic side of that claim for the benchmark's `routed-traffic`
+//! workload and any higher-level harness:
 //!
 //! - [`RoutingRequest`] — the per-message routing state (destination,
 //!   hop count, TTL), small and `Copy` so it can ride through a

@@ -1,14 +1,21 @@
 //! Trace determinism: the span-tree projection (`Tracer::span_tree`) is a
 //! pure function of the seed — identical seeds produce identical trees for
 //! the centralized engine, the distributed protocol stack, and the
-//! component-parallel executor at every thread count — plus the chrome
-//! exporter's balance invariant and the ledger/counter cross-check.
+//! component-parallel executor at every thread count — plus the recorded
+//! events' per-lane balance and monotone timestamps across every layer
+//! (the chrome exporter's input) and the ledger/counter cross-check.
+
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use xheal_core::{Event, HealingEngine, ParallelXheal, Xheal, XhealConfig};
+use xheal_dex::{Dex, DexConfig};
 use xheal_dist::DistXheal;
 use xheal_graph::{generators, NodeId};
+use xheal_monitor::{Monitor, MonitorConfig};
 use xheal_trace::{hook, EvKind, Layer, Tracer, TreeEvent};
 
 const KAPPA: usize = 4;
@@ -113,17 +120,89 @@ fn thread_count_does_not_change_the_tree() {
 
 #[test]
 fn chrome_export_is_balanced_and_monotone() {
-    let tracer = Tracer::shared(1 << 12);
-    let g0 = generators::ring_with_chords(64);
-    let mut eng = Xheal::new(&g0, XhealConfig::new(KAPPA).with_seed(9));
-    eng.set_tracer(Some(tracer.clone()));
+    let tracer = Tracer::shared(1 << 16);
+    let handle = Some(tracer.clone());
+
+    // The distributed stack with a subscribed monitor: planner, protocol,
+    // transport and monitor spans.
+    let g0 = generators::ring_with_chords(96);
+    let mut net = DistXheal::new(&g0, XhealConfig::new(KAPPA).with_seed(9));
+    let monitor = Rc::new(RefCell::new(Monitor::new(
+        net.graph(),
+        MonitorConfig::default(),
+    )));
+    monitor.borrow_mut().set_tracer(handle.clone());
+    net.subscribe(Box::new(Rc::clone(&monitor)));
+    net.set_tracer(handle.clone());
+    let (victims, batched) = schedule(96, 9, 6, 5);
+    for v in victims {
+        net.delete(v).expect("victim is live");
+    }
+    monitor.borrow_mut().checkpoint();
+    net.delete_batch(&batched).expect("victims are live");
+    monitor.borrow_mut().checkpoint();
+
+    // The centralized executor: executor spans around planner spans.
+    let g1 = generators::ring_with_chords(64);
+    let mut eng = Xheal::new(&g1, XhealConfig::new(KAPPA).with_seed(9));
+    eng.set_tracer(handle.clone());
     let (victims, batched) = schedule(64, 9, 6, 5);
     for v in victims {
         eng.heal_delete(v).expect("victim is live");
     }
     eng.apply(&Event::DeleteBatch { nodes: batched })
         .expect("victims are live");
+
+    // DEX: an insertion that rewires, and a repair.
+    let mut dex = Dex::new(&generators::cycle(32), DexConfig::default());
+    HealingEngine::set_tracer(&mut dex, handle.clone());
+    let inserted = dex
+        .apply(&Event::Insert {
+            node: NodeId::new(900),
+            neighbors: vec![NodeId::new(3)],
+        })
+        .expect("contact is live");
+    dex.apply(&Event::Delete {
+        node: NodeId::new(5),
+    })
+    .expect("victim is live");
+
     let t = hook::lock(&tracer);
+    assert_eq!(t.dropped(), 0, "the ring must hold the whole run");
+    let events = t.events();
+    let layers: BTreeSet<Layer> = events.iter().map(|e| e.layer).collect();
+    assert!(layers.len() >= 4, "spans from {layers:?}");
+    // Per lane: timestamps never go back, and the open-span depth never
+    // goes negative and ends at zero.
+    let mut last_ts: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut depth: BTreeMap<u64, i64> = BTreeMap::new();
+    for e in &events {
+        let ts = last_ts.entry(e.lane).or_insert(0);
+        assert!(e.ts_nanos >= *ts, "timestamp went back: {e:?}");
+        *ts = e.ts_nanos;
+        let d = depth.entry(e.lane).or_insert(0);
+        match e.kind {
+            EvKind::Begin => *d += 1,
+            EvKind::End => *d -= 1,
+            EvKind::Instant => {}
+        }
+        assert!(*d >= 0, "an end without its begin: {e:?}");
+    }
+    assert!(
+        depth.values().all(|&d| d == 0),
+        "unclosed spans per lane: {depth:?}"
+    );
+    // DEX's insertion instant carries the messages of its reported cost.
+    let messages = inserted
+        .cost()
+        .expect("DEX insertions report a cost")
+        .messages;
+    let instant = events
+        .iter()
+        .find(|e| e.kind == EvKind::Instant && e.name == "exec.insert")
+        .expect("DEX records its insertion");
+    assert_eq!(instant.arg, messages);
+
     let json = t.chrome_trace_json();
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("\"displayTimeUnit\""));
