@@ -5,11 +5,15 @@
 //! (send, step, find and drain the inboxes with mail) allocate nothing once
 //! every inbox, wheel bucket and drain buffer has been used.
 //!
-//! The counter is process-global and the libtest harness allocates from
-//! its own threads (progress lines, panic payloads), so each window is
-//! measured best-of-N: harness noise is transient, while a real per-call
-//! allocation would taint every attempt with one count per loop iteration.
+//! The counter is process-global, so the tests take turns on one lock: one
+//! test's allocations never land in another's window. The libtest harness
+//! still allocates from its own threads (progress lines, panic payloads),
+//! so each window is measured best-of-N: harness noise is transient, while
+//! a real per-call allocation would taint every attempt with one count per
+//! loop iteration.
 #![cfg(feature = "bench")]
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,6 +24,14 @@ use xheal_sim::{AsyncConfig, AsyncNetwork, NetworkEngine};
 use xheal_trace::{hook, Layer, SharedTracer, Tracer};
 
 const ATTEMPTS: usize = 8;
+
+static TURN: Mutex<()> = Mutex::new(());
+
+/// Holds the allocation counter for one test. The lock guards no data, so a
+/// failed test's poisoned lock is taken over as is.
+fn turn() -> MutexGuard<'static, ()> {
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Smallest allocation delta of `ATTEMPTS` runs of `window`.
 fn min_delta(mut window: impl FnMut()) -> u64 {
@@ -35,6 +47,7 @@ fn min_delta(mut window: impl FnMut()) -> u64 {
 
 #[test]
 fn disabled_hooks_allocate_nothing() {
+    let _turn = turn();
     let none: Option<SharedTracer> = None;
     // Warm any lazy allocator state before the measured windows.
     hook::begin(&none, Layer::Executor, "exec.repair", 1, 0);
@@ -53,6 +66,7 @@ fn disabled_hooks_allocate_nothing() {
 
 #[test]
 fn attached_tracer_records_without_steady_state_allocations() {
+    let _turn = turn();
     let tracer = Tracer::shared(1 << 10);
     let handle = Some(tracer.clone());
     // Warm-up: touch every lane and the metrics counter once (first use
@@ -84,6 +98,7 @@ fn attached_tracer_records_without_steady_state_allocations() {
 
 #[test]
 fn untraced_engine_churn_is_alloc_identical_to_seed_behavior() {
+    let _turn = turn();
     // The instrumented engine with no tracer attached must allocate
     // exactly as much as an identical run: the hooks contribute zero, so
     // two identical seeded schedules have identical allocation counts.
@@ -106,6 +121,7 @@ fn untraced_engine_churn_is_alloc_identical_to_seed_behavior() {
 
 #[test]
 fn transport_steady_state_rounds_allocate_nothing() {
+    let _turn = turn();
     let csr = generators::ring_with_chords(2000).csr_view();
     let mut net: AsyncNetwork<u64> =
         AsyncNetwork::new(AsyncConfig::uniform(1, 2, 42).with_jitter(1));
