@@ -52,7 +52,7 @@ fn main() {
                     next_id += 1;
                 } else {
                     let idx = rng.random_range(0..h.len());
-                    let &v = h.members().iter().nth(idx).unwrap();
+                    let v = h.members()[idx];
                     h.delete(v);
                 }
             }

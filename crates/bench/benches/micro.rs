@@ -46,7 +46,7 @@ fn bench_hgraph_ops(c: &mut Criterion) {
             |mut h| {
                 h.insert(NodeId::new(next), &mut rng);
                 next += 1;
-                let v = h.member_at(rng.random_range(0..h.len()));
+                let v = h.members()[rng.random_range(0..h.len())];
                 h.delete(v);
                 h
             },

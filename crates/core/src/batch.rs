@@ -72,8 +72,9 @@ impl BatchVictim {
     ///
     /// # Errors
     ///
-    /// [`HealError::NodeMissing`] if any victim is absent; duplicate victims
-    /// are rejected the same way (the second occurrence is already gone).
+    /// [`HealError::NodeMissing`] if any victim is absent, and
+    /// [`HealError::DuplicateVictim`] if one is listed twice; the first
+    /// fault in list order is reported.
     pub fn validate(graph: &Graph, victims: &[NodeId]) -> Result<(), HealError> {
         Self::victim_set(graph, victims).map(|_| ())
     }
@@ -82,8 +83,11 @@ impl BatchVictim {
     fn victim_set(graph: &Graph, victims: &[NodeId]) -> Result<BTreeSet<NodeId>, HealError> {
         let mut set: BTreeSet<NodeId> = BTreeSet::new();
         for &v in victims {
-            if !set.insert(v) || !graph.contains_node(v) {
+            if !graph.contains_node(v) {
                 return Err(HealError::NodeMissing(v));
+            }
+            if !set.insert(v) {
+                return Err(HealError::DuplicateVictim(v));
             }
         }
         Ok(set)
@@ -218,8 +222,9 @@ impl Xheal {
     ///
     /// # Errors
     ///
-    /// [`HealError::NodeMissing`] if any victim is absent (checked before
-    /// any mutation); duplicate victims are rejected the same way.
+    /// [`HealError::NodeMissing`] if any victim is absent, and
+    /// [`HealError::DuplicateVictim`] if one is listed twice (both checked
+    /// before any mutation).
     pub fn heal_delete_batch(&mut self, victims: &[NodeId]) -> Result<BatchReport, HealError> {
         let ctx = BatchVictim::capture(self.graph(), victims)?;
         let (graph, planner, sinks, scratch, tracer) = self.batch_parts();
@@ -450,7 +455,7 @@ mod tests {
         let g = generators::cycle(4);
         assert_eq!(
             BatchVictim::capture(&g, &[n(1), n(1)]).unwrap_err(),
-            HealError::NodeMissing(n(1))
+            HealError::DuplicateVictim(n(1))
         );
         assert_eq!(
             BatchVictim::capture(&g, &[n(44)]).unwrap_err(),

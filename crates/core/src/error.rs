@@ -14,6 +14,8 @@ pub enum HealError {
     NodeMissing(NodeId),
     /// Insertion referencing a neighbor that is not in the network.
     NeighborMissing(NodeId),
+    /// A batch deletion naming the same victim more than once.
+    DuplicateVictim(NodeId),
 }
 
 impl fmt::Display for HealError {
@@ -22,6 +24,7 @@ impl fmt::Display for HealError {
             HealError::NodeExists(v) => write!(f, "node {v} already exists"),
             HealError::NodeMissing(v) => write!(f, "node {v} is not in the network"),
             HealError::NeighborMissing(v) => write!(f, "neighbor {v} is not in the network"),
+            HealError::DuplicateVictim(v) => write!(f, "victim {v} is listed more than once"),
         }
     }
 }
@@ -36,5 +39,7 @@ mod tests {
     fn display_is_lowercase_and_concise() {
         let e = HealError::NodeMissing(NodeId::new(3));
         assert_eq!(e.to_string(), "node n3 is not in the network");
+        let e = HealError::DuplicateVictim(NodeId::new(3));
+        assert_eq!(e.to_string(), "victim n3 is listed more than once");
     }
 }

@@ -156,7 +156,7 @@ pub fn check_invariants(x: &Xheal) -> Result<(), String> {
                 None => return Err(format!("edge ({u},{w}) carries dead color {c}")),
                 Some(cloud) => {
                     let key = if u < w { (u, w) } else { (w, u) };
-                    if cloud.expander().edges().binary_search(&key).is_err() {
+                    if !cloud.expander().edges().contains(&key) {
                         return Err(format!(
                             "edge ({u},{w}) carries color {c} not in that cloud's edge set"
                         ));

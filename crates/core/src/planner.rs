@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 
-use xheal_expander::{EdgeDelta, MaintainedExpander};
+use xheal_expander::{EdgeDelta, EdgePair, MaintainedExpander};
 use xheal_graph::{CloudColor, CloudKind, EdgeLabels, FxHashMap, NodeId};
 use xheal_pool::WorkerPool;
 use xheal_trace::{hook, Layer, SharedTracer};
@@ -940,7 +940,7 @@ fn detach_cloud(
     victims: &[NodeId],
     rng: &mut StdRng,
 ) -> (Option<PlanAction>, bool) {
-    let before = cloud.expander().edges().to_vec();
+    let before: Vec<EdgePair> = cloud.expander().edges().iter().copied().collect();
     let mut detached = Vec::new();
     for &v in victims {
         if cloud.expander().contains(v) {
@@ -954,7 +954,8 @@ fn detach_cloud(
     }
     // Both snapshots are sorted, so the net delta is one merge walk (same
     // ascending order the former set-difference produced).
-    let delta = EdgeDelta::between(&before, cloud.expander().edges());
+    let after: Vec<EdgePair> = cloud.expander().edges().iter().copied().collect();
+    let delta = EdgeDelta::between(&before, &after);
     (
         Some(PlanAction::PatchCloud {
             color,
@@ -1026,6 +1027,16 @@ impl PlanStore for RepairPlanner {
         if let Some(m) = self.attached_to.get(&p) {
             out.extend(m.keys().copied());
         }
+    }
+
+    fn wholly_attached_into(&mut self, p: CloudColor, out: &mut BTreeSet<CloudColor>) {
+        let Some(m) = self.attached_to.get(&p) else {
+            return;
+        };
+        out.extend(m.iter().filter_map(|(&f, &n)| {
+            let cloud = self.clouds.get(&f)?;
+            (cloud.attachments().len() == n as usize).then_some(f)
+        }));
     }
 
     fn fresh_color(&mut self) -> CloudColor {

@@ -89,6 +89,9 @@ pub(crate) trait PlanStore {
     fn attach_dec(&mut self, p: CloudColor, f: CloudColor);
     /// Collects the secondaries with a bridge into `p` (live or not).
     fn attached_secondaries_into(&mut self, p: CloudColor, out: &mut BTreeSet<CloudColor>);
+    /// Collects the live secondaries whose bridges *all* target `p`: those
+    /// whose reverse-index count under `p` equals their attachment count.
+    fn wholly_attached_into(&mut self, p: CloudColor, out: &mut BTreeSet<CloudColor>);
     /// Allocates the next color of this store's namespace.
     fn fresh_color(&mut self) -> CloudColor;
     /// Builds a κ-regular expander over `members` with this store's RNG.
@@ -248,7 +251,7 @@ pub(crate) fn delete_cloud<S: PlanStore>(store: &mut S, color: CloudColor) {
             store.attach_dec(p, color);
         }
     }
-    let edges: Vec<(NodeId, NodeId)> = cloud.expander().edges().to_vec();
+    let edges: Vec<(NodeId, NodeId)> = cloud.expander().edges().iter().copied().collect();
     store.emit(PlanAction::DissolveCloud {
         color,
         delta: EdgeDelta {
@@ -441,10 +444,11 @@ pub(crate) fn make_secondary_among<S: PlanStore>(
 ///
 /// - **Splice** (`|members outside the largest cloud| <= |largest cloud|`):
 ///   keep the largest input cloud, dissolve the others, and absorb their
-///   surviving members one expander-insert at a time. Mutation volume is
-///   proportional to the *smaller* side instead of dissolve-all + rebuild-all.
-/// - **Rebuild** (the old path, kept for absorptions that would dominate the
-///   target): dissolve everything and build a fresh cloud over the union.
+///   surviving members one expander-insert at a time. The work is
+///   proportional to the dissolved inputs, the absorbed members and the
+///   secondaries that change — never to the size of the kept cloud.
+/// - **Rebuild** (absorptions that would dominate the target): dissolve
+///   everything and build a fresh cloud over the union.
 ///
 /// Either way, secondary clouds all of whose attached primaries lie inside
 /// the set are dissolved (their bridges become free again); secondaries that
@@ -456,27 +460,35 @@ pub(crate) fn combine<S: PlanStore>(
 ) -> Option<CloudColor> {
     store.note_combine();
     let mut live: Vec<(CloudColor, usize)> = Vec::new();
-    let mut all_nodes: BTreeSet<NodeId> = BTreeSet::new();
     for &c in colors {
         if let Some(cl) = store.cloud_ref(c) {
             debug_assert_eq!(cl.kind(), CloudKind::Primary, "combine targets primaries");
             live.push((c, cl.len()));
-            all_nodes.extend(cl.members().iter().copied());
         }
-    }
-    if all_nodes.is_empty() {
-        return None;
     }
 
     // Splice target: the largest live input cloud (ties → smallest color).
     let &(target, target_len) = live
         .iter()
-        .max_by_key(|&&(c, len)| (len, std::cmp::Reverse(c)))
-        .expect("all_nodes nonempty implies a live cloud");
-    let absorb: Vec<NodeId> = {
-        let target_members = store.cloud_ref(target).expect("target is live").members();
-        all_nodes.difference(target_members).copied().collect()
-    };
+        .max_by_key(|&&(c, len)| (len, std::cmp::Reverse(c)))?;
+    if target_len == 0 {
+        return None;
+    }
+    // The members the target lacks, ascending: only the other inputs hold
+    // them, so the target's own membership is never walked.
+    let mut absorb: Vec<NodeId> = Vec::new();
+    for &(c, _) in &live {
+        if c != target {
+            let cloud = store.cloud_ref(c).expect("listed live");
+            absorb.extend(cloud.members().iter().copied());
+        }
+    }
+    absorb.sort_unstable();
+    absorb.dedup();
+    {
+        let kept = store.cloud_ref(target).expect("target is live").expander();
+        absorb.retain(|&m| !kept.contains(m));
+    }
 
     if absorb.len() <= target_len {
         // Splice: dissolve only the smaller inputs, keep the target.
@@ -493,12 +505,17 @@ pub(crate) fn combine<S: PlanStore>(
     }
 
     // Rebuild: delete the old primary clouds and build the union fresh.
+    let mut members: Vec<NodeId> = {
+        let kept = store.cloud_ref(target).expect("target is live");
+        kept.members().iter().copied().collect()
+    };
+    members.extend(absorb);
+    members.sort_unstable();
     for &(c, _) in &live {
         delete_cloud(store, c);
     }
     let new_color = store.fresh_color();
     repoint_secondaries(store, colors, new_color);
-    let members: Vec<NodeId> = all_nodes.into_iter().collect();
     create_cloud_with_color(store, new_color, CloudKind::Primary, &members);
     Some(new_color)
 }
@@ -506,6 +523,10 @@ pub(crate) fn combine<S: PlanStore>(
 /// Handles secondaries referencing combined primaries (found via the reverse
 /// attachment index — no registry scan): dissolve the redundant ones, re-point
 /// the rest at `new_color`.
+///
+/// When `new_color` is itself an input (the splice keeps it), a secondary
+/// attached to it and to no other input changes only if all its bridges
+/// target it, so only those are visited.
 fn repoint_secondaries<S: PlanStore>(
     store: &mut S,
     colors: &BTreeSet<CloudColor>,
@@ -513,7 +534,11 @@ fn repoint_secondaries<S: PlanStore>(
 ) {
     let mut referencing: BTreeSet<CloudColor> = BTreeSet::new();
     for &c in colors {
-        store.attached_secondaries_into(c, &mut referencing);
+        if c == new_color {
+            store.wholly_attached_into(c, &mut referencing);
+        } else {
+            store.attached_secondaries_into(c, &mut referencing);
+        }
     }
     for fc in referencing {
         let all_inside = match store.cloud_ref(fc) {
@@ -788,12 +813,25 @@ impl PlanStore for CompShard<'_> {
 
     fn attached_secondaries_into(&mut self, p: CloudColor, out: &mut BTreeSet<CloudColor>) {
         self.touch_color(p);
-        match self.attached.get(&p) {
-            Some(m) => out.extend(m.keys().copied()),
-            None => {
-                if let Some(m) = self.base.base_attached(p) {
-                    out.extend(m.keys().copied());
-                }
+        if let Some(m) = self.attached_view(p) {
+            out.extend(m.keys().copied());
+        }
+    }
+
+    fn wholly_attached_into(&mut self, p: CloudColor, out: &mut BTreeSet<CloudColor>) {
+        self.touch_color(p);
+        let counts: Vec<(CloudColor, u32)> = self
+            .attached_view(p)
+            .map(|m| m.iter().map(|(&f, &n)| (f, n)).collect())
+            .unwrap_or_default();
+        // Read each secondary through `cloud_ref`, so the footprint records
+        // it exactly as a full visit would.
+        for (f, n) in counts {
+            if self
+                .cloud_ref(f)
+                .is_some_and(|cl| cl.attachments().len() == n as usize)
+            {
+                out.insert(f);
             }
         }
     }
@@ -870,6 +908,15 @@ impl PlanStore for CompShard<'_> {
 }
 
 impl CompShard<'_> {
+    /// The reverse-index entry of `p`: the overlay's copy once written,
+    /// otherwise the base planner's.
+    fn attached_view(&self, p: CloudColor) -> Option<&BTreeMap<CloudColor, u32>> {
+        match self.attached.get(&p) {
+            Some(m) => Some(m),
+            None => self.base.base_attached(p),
+        }
+    }
+
     fn attach_map(&mut self, p: CloudColor) -> &mut BTreeMap<CloudColor, u32> {
         self.touch_color(p);
         if !self.attached.contains_key(&p) {

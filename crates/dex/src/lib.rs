@@ -748,11 +748,13 @@ mod tests {
             })
             .is_err());
         assert!(dex.apply(&Event::Delete { node: n(99) }).is_err());
-        assert!(dex
-            .apply(&Event::DeleteBatch {
+        assert_eq!(
+            dex.apply(&Event::DeleteBatch {
                 nodes: vec![n(1), n(1)],
             })
-            .is_err());
+            .unwrap_err(),
+            HealError::DuplicateVictim(n(1))
+        );
         assert_eq!(dex.graph().edge_fingerprint(), fp);
         dex.assert_invariants();
     }

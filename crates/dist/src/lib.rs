@@ -301,13 +301,17 @@ impl<N: NetworkEngine<Msg>> DistXheal<N> {
     ///
     /// # Errors
     ///
-    /// [`HealError::NodeMissing`] if any victim is absent or duplicated
-    /// (checked before any mutation).
+    /// [`HealError::NodeMissing`] if any victim is absent, and
+    /// [`HealError::DuplicateVictim`] if one is listed twice (both checked
+    /// before any mutation).
     pub fn delete_many(&mut self, victims: &[NodeId]) -> Result<Vec<DeletionReport>, HealError> {
         let mut seen: BTreeSet<NodeId> = BTreeSet::new();
         for &v in victims {
-            if !seen.insert(v) || !self.graph.contains_node(v) {
+            if !self.graph.contains_node(v) {
                 return Err(HealError::NodeMissing(v));
+            }
+            if !seen.insert(v) {
+                return Err(HealError::DuplicateVictim(v));
             }
         }
         let mut reports = Vec::with_capacity(victims.len());
@@ -331,8 +335,9 @@ impl<N: NetworkEngine<Msg>> DistXheal<N> {
     ///
     /// # Errors
     ///
-    /// [`HealError::NodeMissing`] if any victim is absent or duplicated
-    /// (checked before any mutation).
+    /// As in [`xheal_core::BatchVictim::validate`]: [`HealError::NodeMissing`]
+    /// for an absent victim, [`HealError::DuplicateVictim`] for one listed
+    /// twice (checked before any mutation).
     pub fn delete_batch(&mut self, victims: &[NodeId]) -> Result<BatchReport, HealError> {
         let ctx = BatchVictim::capture(&self.graph, victims)?;
         for bv in &ctx {
@@ -795,7 +800,7 @@ mod tests {
         );
         assert_eq!(
             dist.delete_many(&[n(1), n(1)]).unwrap_err(),
-            HealError::NodeMissing(n(1))
+            HealError::DuplicateVictim(n(1))
         );
         assert_eq!(
             dist.delete_batch(&[n(404)]).unwrap_err(),

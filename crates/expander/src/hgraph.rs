@@ -91,8 +91,8 @@ impl Cycle {
         })
     }
 
-    /// Checks the cycle is a single closed tour over `members`.
-    fn validate(&self, members: &BTreeSet<NodeId>) -> Result<(), String> {
+    /// Checks the cycle is a single closed tour over `members` (ascending).
+    fn validate(&self, members: &[NodeId]) -> Result<(), String> {
         if self.next.len() != members.len() || self.prev.len() != members.len() {
             return Err("cycle membership mismatch".into());
         }
@@ -105,7 +105,7 @@ impl Cycle {
             if seen > members.len() {
                 return Err("cycle does not close".into());
             }
-            if !members.contains(&cur) {
+            if members.binary_search(&cur).is_err() {
                 return Err(format!("cycle visits non-member {cur}"));
             }
             cur = self.next[&cur];
@@ -126,6 +126,11 @@ impl Cycle {
 /// simply not duplicated ("similar high probabilistic guarantees hold in case
 /// we make the multi-edges simple").
 ///
+/// The members are kept as one ascending list. A splice draws its position
+/// by index into that list, so a draw costs O(1) and the random stream is a
+/// uniform pick over the sorted member order; inserting or deleting a
+/// member is a binary search plus one shift of the list.
+///
 /// # Examples
 ///
 /// ```
@@ -144,13 +149,9 @@ impl Cycle {
 #[derive(Clone, Debug)]
 pub struct HGraph {
     d: usize,
-    members: BTreeSet<NodeId>,
+    /// Members, ascending and duplicate-free.
+    members: Vec<NodeId>,
     cycles: Vec<Cycle>,
-    /// Members in an arbitrary-but-deterministic enumeration order backing
-    /// the O(1) [`HGraph::member_at`] accessor (swap-removal on delete).
-    order: Vec<NodeId>,
-    /// Position of each member in `order`.
-    pos: FxHashMap<NodeId, usize>,
 }
 
 impl HGraph {
@@ -162,24 +163,22 @@ impl HGraph {
     /// nodes, because there is only one possible H-graph of size 3") or
     /// `d == 0`.
     pub fn random<R: Rng + ?Sized>(members: &[NodeId], d: usize, rng: &mut R) -> Self {
-        let set: BTreeSet<NodeId> = members.iter().copied().collect();
+        let mut set = members.to_vec();
+        set.sort_unstable();
+        set.dedup();
         assert!(set.len() >= 3, "H-graphs need at least 3 distinct nodes");
         assert!(d >= 1, "need at least one Hamilton cycle");
-        let mut order: Vec<NodeId> = set.iter().copied().collect();
+        let mut order = set.clone();
         let cycles = (0..d)
             .map(|_| {
                 order.shuffle(rng);
                 Cycle::from_order(&order)
             })
             .collect();
-        let enumeration: Vec<NodeId> = set.iter().copied().collect();
-        let pos: FxHashMap<NodeId, usize> = enumeration.iter().copied().zip(0..).collect();
         HGraph {
             d,
             members: set,
             cycles,
-            order: enumeration,
-            pos,
         }
     }
 
@@ -203,29 +202,14 @@ impl HGraph {
         self.members.is_empty()
     }
 
-    /// Is `v` a member?
+    /// Is `v` a member? O(log n).
     pub fn contains(&self, v: NodeId) -> bool {
-        self.members.contains(&v)
+        self.members.binary_search(&v).is_ok()
     }
 
-    /// The member set.
-    pub fn members(&self) -> &BTreeSet<NodeId> {
+    /// The members, ascending. Index it directly for a uniform O(1) pick.
+    pub fn members(&self) -> &[NodeId] {
         &self.members
-    }
-
-    /// The member at position `idx` of the internal enumeration order — an
-    /// O(1) indexed accessor for samplers that pick uniform members (the
-    /// `BTreeSet` alternative, `members().iter().nth(idx)`, is O(n)).
-    ///
-    /// The order is deterministic across identical operation sequences but
-    /// otherwise unspecified (deletions swap-remove), so treat `idx` as an
-    /// opaque sampling coordinate, not a sorted rank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= self.len()`.
-    pub fn member_at(&self, idx: usize) -> NodeId {
-        self.order[idx]
     }
 
     /// Law–Siu INSERT: splice `u` into each cycle at an independently random
@@ -241,21 +225,24 @@ impl HGraph {
     /// [`HGraph::insert`], additionally returning the change to the
     /// *projected simple edge set* as `(added, removed)`, both sorted.
     ///
-    /// The splice is O(d²): each cycle contributes at most two new incident
-    /// edges and one broken edge, and broken candidates are membership-checked
-    /// against the other cycles — no full projection rebuild. Consumes
-    /// exactly the same randomness as [`HGraph::insert`].
+    /// Each cycle's position is a uniform index into the ascending member
+    /// list as it stood before `u` joined. The splice is O(d²) plus one
+    /// shift of the member list: each cycle contributes at most two new
+    /// incident edges and one broken edge, and broken candidates are
+    /// membership-checked against the other cycles — no full projection
+    /// rebuild. Consumes exactly the same randomness as [`HGraph::insert`].
     ///
     /// # Panics
     ///
     /// Panics if `u` is already a member.
     pub fn insert_with_delta<R: Rng + ?Sized>(&mut self, u: NodeId, rng: &mut R) -> SpliceDelta {
-        assert!(!self.members.contains(&u), "{u} already a member");
-        let positions: Vec<NodeId> = self.members.iter().copied().collect();
+        let Err(at) = self.members.binary_search(&u) else {
+            panic!("{u} already a member");
+        };
         let mut added: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
         let mut broken: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
         for cycle in &mut self.cycles {
-            let v = positions[rng.random_range(0..positions.len())];
+            let v = self.members[rng.random_range(0..self.members.len())];
             let w = cycle.next[&v];
             cycle.insert_after(v, u);
             added.insert(norm(v, u));
@@ -264,9 +251,7 @@ impl HGraph {
                 broken.insert(norm(v, w));
             }
         }
-        self.members.insert(u);
-        self.pos.insert(u, self.order.len());
-        self.order.push(u);
+        self.members.insert(at, u);
         // A broken (v, w) leaves the projection only if no cycle still walks
         // it after all splices.
         let removed: Vec<(NodeId, NodeId)> = broken
@@ -289,7 +274,8 @@ impl HGraph {
     /// [`HGraph::delete`], additionally returning the change to the
     /// *projected simple edge set* as `(added, removed)`, both sorted.
     ///
-    /// O(d²) like [`HGraph::insert_with_delta`]: the removed edges are
+    /// O(d²) plus one shift of the member list, like
+    /// [`HGraph::insert_with_delta`]: the removed edges are
     /// exactly `u`'s projected incident edges; the healed `(prev, next)`
     /// pairs count as added only when absent from the pre-splice projection.
     ///
@@ -297,7 +283,9 @@ impl HGraph {
     ///
     /// Panics if `u` is not a member.
     pub fn delete_with_delta(&mut self, u: NodeId) -> SpliceDelta {
-        assert!(self.members.contains(&u), "{u} not a member");
+        let Ok(at) = self.members.binary_search(&u) else {
+            panic!("{u} not a member");
+        };
         // Read phase: collect incident and healed pairs before any splice so
         // "present before" checks see the pre-op cycles.
         let mut removed: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
@@ -318,14 +306,9 @@ impl HGraph {
             .into_iter()
             .filter(|&(a, b)| !self.contains_edge(a, b))
             .collect();
-        self.members.remove(&u);
+        self.members.remove(at);
         for cycle in &mut self.cycles {
             cycle.remove(u);
-        }
-        let p = self.pos.remove(&u).expect("member position tracked");
-        self.order.swap_remove(p);
-        if let Some(&moved) = self.order.get(p) {
-            self.pos.insert(moved, p);
         }
         (added, removed.into_iter().collect())
     }
@@ -346,7 +329,7 @@ impl HGraph {
     /// Multigraph degree of `v` counting duplicate cycle edges (2 per cycle
     /// while at least 3 members exist).
     pub fn multi_degree(&self, v: NodeId) -> usize {
-        if !self.members.contains(&v) {
+        if !self.contains(v) {
             return 0;
         }
         match self.members.len() {
@@ -356,23 +339,15 @@ impl HGraph {
         }
     }
 
-    /// Structural self-check: every cycle is a single closed tour over the
-    /// member set, and the indexed enumeration covers it exactly.
+    /// Structural self-check: the member list is strictly ascending, and
+    /// every cycle is a single closed tour over it.
     pub fn validate(&self) -> Result<(), String> {
+        if !self.members.windows(2).all(|w| w[0] < w[1]) {
+            return Err("member list not strictly ascending".into());
+        }
         for (i, c) in self.cycles.iter().enumerate() {
             c.validate(&self.members)
                 .map_err(|e| format!("cycle {i}: {e}"))?;
-        }
-        if self.order.len() != self.members.len() || self.pos.len() != self.members.len() {
-            return Err("enumeration order out of sync with member set".into());
-        }
-        for (i, &v) in self.order.iter().enumerate() {
-            if !self.members.contains(&v) {
-                return Err(format!("enumeration lists non-member {v}"));
-            }
-            if self.pos.get(&v) != Some(&i) {
-                return Err(format!("position index stale for {v}"));
-            }
         }
         Ok(())
     }
@@ -502,7 +477,7 @@ mod tests {
                     assert!(mirror.insert(e), "round {round}: added {e:?} present");
                 }
             } else {
-                let v = h.member_at(rng.random_range(0..h.len()));
+                let v = h.members()[rng.random_range(0..h.len())];
                 let (added, removed) = h.delete_with_delta(v);
                 for e in &removed {
                     assert!(mirror.remove(e), "round {round}: removed {e:?} absent");
@@ -517,28 +492,35 @@ mod tests {
     }
 
     #[test]
-    fn member_at_enumerates_exactly_the_members_under_churn() {
+    fn members_stay_sorted_and_exact_under_churn() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut h = HGraph::random(&ids(0..12), 2, &mut rng);
-        for i in 12..20 {
-            h.insert(NodeId::new(i), &mut rng);
+        let start: Vec<NodeId> = (0..12).map(|i| NodeId::new(10 * i)).collect();
+        let mut h = HGraph::random(&start, 2, &mut rng);
+        let mut expect: BTreeSet<NodeId> = start.into_iter().collect();
+        // Joins land below, between and above the initial ids.
+        for v in [55, 1, 200, 5, 111].map(NodeId::new) {
+            h.insert(v, &mut rng);
+            expect.insert(v);
         }
-        for i in (0..12).step_by(3) {
-            h.delete(NodeId::new(i));
+        for v in [0, 30, 200, 5].map(NodeId::new) {
+            h.delete(v);
+            expect.remove(&v);
         }
         h.validate().unwrap();
-        let enumerated: BTreeSet<NodeId> = (0..h.len()).map(|i| h.member_at(i)).collect();
-        assert_eq!(&enumerated, h.members());
+        let expect: Vec<NodeId> = expect.into_iter().collect();
+        assert_eq!(h.members(), expect.as_slice());
+        assert!(expect.iter().all(|&v| h.contains(v)));
+        assert!(!h.contains(NodeId::new(30)));
     }
 
     #[test]
     fn insert_then_delete_roundtrip_preserves_membership() {
         let mut rng = StdRng::seed_from_u64(8);
         let mut h = HGraph::random(&ids(0..10), 2, &mut rng);
-        let before = h.members().clone();
+        let before = h.members().to_vec();
         h.insert(NodeId::new(99), &mut rng);
         h.delete(NodeId::new(99));
-        assert_eq!(h.members(), &before);
+        assert_eq!(h.members(), before.as_slice());
         h.validate().unwrap();
     }
 }

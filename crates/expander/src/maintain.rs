@@ -95,22 +95,21 @@ pub struct MaintainedExpander {
     topology: Topology,
     /// Size at the last full (re)build — drives the rebuild-at-half rule.
     peak_size: usize,
-    /// Projected simple edges currently installed, sorted ascending —
-    /// a plain sorted `Vec` so rebuild diffs are one allocation-free merge
-    /// walk instead of `BTreeSet` difference traversals.
-    edges: Vec<EdgePair>,
+    /// Projected simple edges currently installed. A set, so each splice
+    /// edit is O(log m); rebuilds collect it into sorted lists for the
+    /// one-walk [`EdgeDelta::between`] diff.
+    edges: BTreeSet<EdgePair>,
     /// Count of full rebuilds (exposed for the amortization experiments).
     rebuilds: usize,
 }
 
-/// All-pairs edges over a sorted member set, emitted ascending (the
-/// lexicographic pair order of sorted members is already sorted).
-fn clique_edges(members: &BTreeSet<NodeId>) -> Vec<EdgePair> {
+/// All-pairs edges over a sorted member set.
+fn clique_edges(members: &BTreeSet<NodeId>) -> BTreeSet<EdgePair> {
     let v: Vec<NodeId> = members.iter().copied().collect();
-    let mut out = Vec::with_capacity(v.len() * v.len().saturating_sub(1) / 2);
-    for i in 0..v.len() {
-        for j in (i + 1)..v.len() {
-            out.push((v[i], v[j]));
+    let mut out = BTreeSet::new();
+    for (i, &a) in v.iter().enumerate() {
+        for &b in &v[i + 1..] {
+            out.insert((a, b));
         }
     }
     out
@@ -138,10 +137,10 @@ impl MaintainedExpander {
         } else {
             let order: Vec<NodeId> = set.iter().copied().collect();
             let h = HGraph::random(&order, kappa / 2, rng);
-            let e: Vec<EdgePair> = h.simple_edges().into_iter().collect();
+            let e = h.simple_edges();
             (Topology::HGraph(h), e)
         };
-        let initial = edges.clone();
+        let initial: Vec<EdgePair> = edges.iter().copied().collect();
         let me = MaintainedExpander {
             kappa,
             peak_size: set.len(),
@@ -178,8 +177,8 @@ impl MaintainedExpander {
         &self.members
     }
 
-    /// Currently installed projected edges, sorted ascending.
-    pub fn edges(&self) -> &[EdgePair] {
+    /// Currently installed projected edges.
+    pub fn edges(&self) -> &BTreeSet<EdgePair> {
         &self.edges
     }
 
@@ -193,47 +192,24 @@ impl MaintainedExpander {
         self.rebuilds
     }
 
-    fn rebuild<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<EdgePair> {
-        self.rebuilds += 1;
-        self.peak_size = self.members.len();
-        if self.members.len() <= self.kappa + 1 {
-            self.topology = Topology::Clique;
-            clique_edges(&self.members)
-        } else {
-            let order: Vec<NodeId> = self.members.iter().copied().collect();
-            let h = HGraph::random(&order, self.kappa / 2, rng);
-            let e: Vec<EdgePair> = h.simple_edges().into_iter().collect();
-            self.topology = Topology::HGraph(h);
-            e
-        }
-    }
-
     /// Applies a locally-computed splice delta to the maintained projection
-    /// and packages it as an [`EdgeDelta`]. Splice deltas are O(d²) small,
-    /// so per-element binary-search edits keep the sorted order cheaply.
+    /// and packages it as an [`EdgeDelta`]: O(log m) per edited edge, and a
+    /// splice edits O(d²) of them.
     fn apply_local_delta(&mut self, added: Vec<EdgePair>, removed: Vec<EdgePair>) -> EdgeDelta {
         for e in &removed {
-            if let Ok(pos) = self.edges.binary_search(e) {
-                self.edges.remove(pos);
-            }
+            self.edges.remove(e);
         }
-        for e in &added {
-            if let Err(pos) = self.edges.binary_search(e) {
-                self.edges.insert(pos, *e);
-            }
-        }
+        self.edges.extend(added.iter().copied());
         EdgeDelta { added, removed }
     }
 
     /// Adds `v` to the expander, returning the edge delta to apply.
     ///
     /// H-graph splices compute their delta locally (O(d²) via
-    /// [`HGraph::insert_with_delta`]) instead of re-projecting the whole
-    /// edge set; only rebuilds pay a full edge-set diff. Note the insert
-    /// path still materializes the member list once to draw the splice
-    /// positions (required to keep the RNG stream bit-identical to the
-    /// original implementation), so inserts remain O(m) in cloud size —
-    /// just without the former O(d·m log m) projection rebuild.
+    /// [`HGraph::insert_with_delta`], which draws each splice position by
+    /// index into its sorted member list) instead of re-projecting the
+    /// whole edge set, and apply it in O(d² log m); only rebuilds and
+    /// clique growth pay work proportional to the cloud.
     ///
     /// # Panics
     ///
@@ -244,11 +220,7 @@ impl MaintainedExpander {
             Topology::Clique => {
                 if self.members.len() > self.kappa + 1 {
                     // Clique outgrew its bound: promote to an H-graph.
-                    let old = std::mem::take(&mut self.edges);
-                    let new = self.rebuild(rng);
-                    let delta = EdgeDelta::between(&old, &new);
-                    self.edges = new;
-                    delta
+                    self.force_rebuild(rng)
                 } else {
                     // Clique insert: exactly the new node's pairs appear.
                     let added: Vec<EdgePair> = self
@@ -275,7 +247,8 @@ impl MaintainedExpander {
     /// Removes `v`, returning the edge delta to apply. Applies the paper's
     /// rules: fall back to a clique at `κ + 1` members, rebuild the H-graph
     /// once half of the membership since the last build is gone. Like
-    /// [`MaintainedExpander::insert`], non-rebuild splices are O(d²).
+    /// [`MaintainedExpander::insert`], non-rebuild splices cost
+    /// O(d² log m) plus one shift of the H-graph's member list.
     ///
     /// # Panics
     ///
@@ -297,11 +270,7 @@ impl MaintainedExpander {
                 if self.members.len() <= self.kappa + 1 || self.members.len() * 2 <= self.peak_size
                 {
                     h.delete(v);
-                    let old = std::mem::take(&mut self.edges);
-                    let new = self.rebuild(rng);
-                    let delta = EdgeDelta::between(&old, &new);
-                    self.edges = new;
-                    delta
+                    self.force_rebuild(rng)
                 } else {
                     let (added, removed) = h.delete_with_delta(v);
                     self.apply_local_delta(added, removed)
@@ -310,13 +279,23 @@ impl MaintainedExpander {
         }
     }
 
-    /// Forces a full rebuild (fresh random topology), returning the delta.
+    /// Forces a full rebuild (fresh random topology), returning the diff
+    /// against the previous projection.
     pub fn force_rebuild<R: Rng + ?Sized>(&mut self, rng: &mut R) -> EdgeDelta {
-        let old = std::mem::take(&mut self.edges);
-        let new = self.rebuild(rng);
-        let delta = EdgeDelta::between(&old, &new);
-        self.edges = new;
-        delta
+        self.rebuilds += 1;
+        self.peak_size = self.members.len();
+        let old: Vec<EdgePair> = std::mem::take(&mut self.edges).into_iter().collect();
+        if self.members.len() <= self.kappa + 1 {
+            self.topology = Topology::Clique;
+            self.edges = clique_edges(&self.members);
+        } else {
+            let order: Vec<NodeId> = self.members.iter().copied().collect();
+            let h = HGraph::random(&order, self.kappa / 2, rng);
+            self.edges = h.simple_edges();
+            self.topology = Topology::HGraph(h);
+        }
+        let new: Vec<EdgePair> = self.edges.iter().copied().collect();
+        EdgeDelta::between(&old, &new)
     }
 }
 
@@ -363,8 +342,7 @@ mod tests {
         let (mut e, initial) = MaintainedExpander::new(&ids(0..12), 4, &mut rng);
         let mut mirror: BTreeSet<EdgePair> = initial.into_iter().collect();
         let check = |mirror: &BTreeSet<EdgePair>, e: &MaintainedExpander| {
-            let sorted: Vec<EdgePair> = mirror.iter().copied().collect();
-            assert_eq!(sorted, e.edges(), "edge list drift (or lost sort order)");
+            assert_eq!(mirror, e.edges(), "edge set drift");
         };
         for i in 12..20 {
             let d = e.insert(NodeId::new(i), &mut rng);

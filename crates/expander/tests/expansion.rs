@@ -57,7 +57,7 @@ fn churned_hgraph_remains_an_expander() {
             h.insert(NodeId::new(next), &mut rng);
             next += 1;
         } else {
-            let &v = h.members().iter().nth(round % h.len()).unwrap();
+            let v = h.members()[round % h.len()];
             h.delete(v);
         }
     }

@@ -289,73 +289,6 @@ pub fn normalized_laplacian_dense_csr(csr: &CsrView) -> SymMatrix {
     m
 }
 
-/// Matrix-free normalized Laplacian operator for the Lanczos path.
-#[derive(Clone, Debug)]
-pub struct NormalizedLaplacianOp {
-    nodes: Vec<NodeId>,
-    offsets: Vec<usize>,
-    neighbors: Vec<usize>,
-    inv_sqrt_deg: Vec<f64>,
-}
-
-impl NormalizedLaplacianOp {
-    /// Builds the operator from a graph snapshot (one [`Graph::csr_view`]
-    /// pass; no per-neighbor index searches).
-    pub fn new(g: &Graph) -> Self {
-        let csr = g.csr_view();
-        let n = csr.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::with_capacity(2 * g.edge_count());
-        let mut inv_sqrt_deg = Vec::with_capacity(n);
-        offsets.push(0);
-        for i in 0..n {
-            neighbors.extend(csr.neighbors_of(i).iter().map(|&j| j as usize));
-            offsets.push(neighbors.len());
-            let d = csr.degree_of(i) as f64;
-            inv_sqrt_deg.push(if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 });
-        }
-        NormalizedLaplacianOp {
-            nodes: csr.nodes().to_vec(),
-            offsets,
-            neighbors,
-            inv_sqrt_deg,
-        }
-    }
-
-    /// The node order backing the operator's coordinates.
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
-    }
-
-    /// The kernel direction `D^{1/2}·1` to deflate.
-    pub fn kernel(&self) -> Vec<f64> {
-        self.inv_sqrt_deg
-            .iter()
-            .map(|&s| if s > 0.0 { 1.0 / s } else { 0.0 })
-            .collect()
-    }
-}
-
-impl LinOp for NormalizedLaplacianOp {
-    fn dim(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        for i in 0..self.nodes.len() {
-            if self.inv_sqrt_deg[i] == 0.0 {
-                y[i] = 0.0;
-                continue;
-            }
-            let mut acc = x[i];
-            for &j in &self.neighbors[self.offsets[i]..self.offsets[i + 1]] {
-                acc -= self.inv_sqrt_deg[i] * self.inv_sqrt_deg[j] * x[j];
-            }
-            y[i] = acc;
-        }
-    }
-}
-
 /// Second-smallest eigenvalue of the *normalized* Laplacian (the λ of the
 /// paper's Cheeger inequality). 0 for disconnected or trivial graphs.
 ///
@@ -523,7 +456,8 @@ mod tests {
         let g = generators::random_regular(80, 4, &mut rng);
         let (_, m) = normalized_laplacian_dense(&g);
         let exact = jacobi_eigen(&m).values[1];
-        let op = NormalizedLaplacianOp::new(&g);
+        let csr = g.csr_view();
+        let op = CsrNormalizedLaplacian::new(&csr);
         let kernel = op.kernel();
         let r = lanczos_deflated(&op, &kernel, 79, 2).unwrap();
         assert!(

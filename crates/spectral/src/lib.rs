@@ -49,7 +49,7 @@ pub use laplacian::{
     laplacian_dense, laplacian_dense_csr, laplacian_spectrum, normalized_algebraic_connectivity,
     normalized_algebraic_connectivity_csr, normalized_laplacian_dense,
     normalized_laplacian_dense_csr, CsrLaplacian, CsrNormalizedLaplacian, LaplacianOp,
-    NormalizedLaplacianOp, DENSE_CUTOFF,
+    DENSE_CUTOFF,
 };
 pub use mixing::{
     mixing_time, mixing_time_csr, mixing_time_from, mixing_time_from_csr, DEFAULT_TV_THRESHOLD,

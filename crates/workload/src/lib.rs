@@ -49,6 +49,5 @@ pub use arena::{
 pub use runner::{replay, run, run_observed, HealthNote, RunObserver, RunSummary, Severity};
 pub use traffic::{
     bfs_distance, greedy_next_hop, ring_distance, route_hops, BfsScratch, RoutingRequest,
-    TrafficGen,
 };
 pub use xheal_core::Event;

@@ -1,5 +1,5 @@
-//! Routed-traffic workload: seeded request streams and greedy overlay
-//! routing over a [`CsrView`] snapshot.
+//! Routed-traffic workload: greedy overlay routing over a [`CsrView`]
+//! snapshot.
 //!
 //! The paper's guarantees are about the *healed overlay as a routing
 //! substrate*: constant-factor degree increase and O(log n) stretch mean
@@ -10,8 +10,6 @@
 //! - [`RoutingRequest`] — the per-message routing state (destination,
 //!   hop count, TTL), small and `Copy` so it can ride through a
 //!   `xheal_sim` engine as the payload;
-//! - [`TrafficGen`] — a seeded source of `(src, dst)` pairs over the
-//!   live nodes of a snapshot;
 //! - [`greedy_next_hop`] / [`route_hops`] — greedy clockwise-ring-distance
 //!   forwarding (the classic routing rule of chord-style overlays, see
 //!   [`xheal_graph::generators::ring_with_chords`]) with a deterministic
@@ -19,13 +17,10 @@
 //! - [`bfs_distance`] — the shortest-path baseline that turns observed
 //!   route lengths into stretch.
 //!
-//! Everything is deterministic: the generator is seeded and the escape
-//! hop is a hash, so a traffic run is exactly reproducible.
+//! Everything is deterministic: the escape hop is a hash, so a seeded
+//! traffic run is exactly reproducible.
 
 use std::collections::VecDeque;
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use xheal_graph::{CsrView, NodeId};
 
@@ -44,37 +39,6 @@ pub struct RoutingRequest {
     /// `born` is the request's end-to-end tick latency (hops *and* link
     /// delays), the quantity behind the benchmark's latency percentiles.
     pub born: u64,
-}
-
-/// Seeded source of routing pairs over a snapshot's live nodes.
-#[derive(Clone, Debug)]
-pub struct TrafficGen {
-    rng: StdRng,
-}
-
-impl TrafficGen {
-    /// A generator reproducing the same request stream for the same seed.
-    pub fn new(seed: u64) -> Self {
-        TrafficGen {
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Draws a uniform `(src, dst)` pair of **distinct dense indices**
-    /// into `csr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot has fewer than two nodes.
-    pub fn pair(&mut self, csr: &CsrView) -> (usize, usize) {
-        assert!(csr.len() >= 2, "routing needs at least two nodes");
-        let src = self.rng.random_range(0..csr.len());
-        let mut dst = self.rng.random_range(0..csr.len() - 1);
-        if dst >= src {
-            dst += 1;
-        }
-        (src, dst)
-    }
 }
 
 /// Clockwise-or-counterclockwise distance between two ids on the identifier
@@ -191,6 +155,8 @@ pub fn bfs_distance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use xheal_graph::generators;
 
     #[test]
@@ -232,10 +198,15 @@ mod tests {
             g.remove_node(NodeId::new(dead)).expect("live");
         }
         let csr = g.csr_view();
-        let mut gen = TrafficGen::new(9);
+        let mut rng = StdRng::seed_from_u64(9);
         let mut delivered = 0;
         for _ in 0..200 {
-            let (src, dst) = gen.pair(&csr);
+            // A uniform pair of distinct dense indices.
+            let src = rng.random_range(0..csr.len());
+            let mut dst = rng.random_range(0..csr.len() - 1);
+            if dst >= src {
+                dst += 1;
+            }
             if route_hops(&csr, src, dst, n as u64, 64).is_some() {
                 delivered += 1;
             }
@@ -250,18 +221,5 @@ mod tests {
         assert_eq!(bfs_distance(&csr, 0, 5, &mut scratch), Some(5));
         assert_eq!(bfs_distance(&csr, 0, 7, &mut scratch), Some(3));
         assert_eq!(bfs_distance(&csr, 2, 2, &mut scratch), Some(0));
-    }
-
-    #[test]
-    fn traffic_gen_is_deterministic_and_distinct() {
-        let csr = generators::cycle(20).csr_view();
-        let draw = |seed| {
-            let mut gen = TrafficGen::new(seed);
-            (0..50).map(|_| gen.pair(&csr)).collect::<Vec<_>>()
-        };
-        let a = draw(7);
-        assert_eq!(a, draw(7));
-        assert_ne!(a, draw(8));
-        assert!(a.iter().all(|&(s, d)| s != d && s < 20 && d < 20));
     }
 }

@@ -8,6 +8,7 @@ use xheal_baselines::all_engines;
 use xheal_core::{Event, HealingEngine, Outcome, Xheal, XhealConfig};
 use xheal_dist::{DistXheal, Msg};
 use xheal_graph::{components, generators};
+use xheal_integration::churned_xheal;
 use xheal_sim::{AsyncConfig, AsyncNetwork};
 use xheal_workload::{bfs_rack, replay, run, BurstDeletions, RandomChurn};
 
@@ -289,4 +290,26 @@ fn replay_equals_drive() {
     drive(&mut via_drive, &summary.events);
     assert_eq!(via_replay.graph(), via_drive.graph());
     assert_eq!(src.graph(), via_drive.graph());
+}
+
+#[test]
+fn topology_fingerprints_are_pinned() {
+    // Every other check here compares executors that share one
+    // `RepairPlanner`, so a changed planner decision (a different splice
+    // position, a skipped secondary) passes them all. These values pin the
+    // decisions themselves: the healed graph's edge fingerprint and the
+    // combine count after a fixed churn schedule.
+    let pinned = [
+        (1, 0x274a_4134_d899_2adf_u64, 472),
+        (2, 0x4f20_5c7f_8b17_25e2, 438),
+        (3, 0x5643_eeb3_9c48_4648, 497),
+    ];
+    for (seed, fingerprint, combines) in pinned {
+        let (x, _) = churned_xheal(400, 1_600, 0.5, 6, seed);
+        assert_eq!(
+            (x.graph().edge_fingerprint(), x.stats().combines),
+            (fingerprint, combines),
+            "seed {seed}: topology drifted from the pinned record"
+        );
+    }
 }
