@@ -215,9 +215,11 @@ impl Monitor {
     }
 
     /// Attaches (or detaches, with `None`) a tracer recording
-    /// `mon.checkpoint` spans and one `mon.health` instant per band
-    /// transition (arg encodes the severity: 0 = info/recovery, 1 =
-    /// warning, 2 = critical).
+    /// `mon.checkpoint` spans, each holding one child span per part
+    /// (`mon.snapshot`, `mon.components`, `mon.gap`, `mon.sweep`,
+    /// `mon.stretch`), and one `mon.health` instant per band transition
+    /// (arg encodes the severity: 0 = info/recovery, 1 = warning, 2 =
+    /// critical).
     pub fn set_tracer(&mut self, tracer: Option<SharedTracer>) {
         self.tracer = tracer;
     }
@@ -331,9 +333,18 @@ impl Monitor {
             self.csr.node_count() as u64,
         );
         let alerts_before = self.alerts.len();
+        let span = |name| hook::begin(&self.tracer, Layer::Monitor, name, generation, 0);
+        let done = |name, arg| hook::end(&self.tracer, Layer::Monitor, name, generation, arg);
+        span("mon.snapshot");
         let view = self.csr.snapshot();
+        done("mon.snapshot", view.edge_count() as u64);
+        span("mon.components");
         let components = component_count(&view);
+        done("mon.components", components as u64);
+        span("mon.gap");
         let gap = self.spectral.estimate(&view);
+        done("mon.gap", gap.restarts as u64);
+        span("mon.sweep");
         let expansion = if components > 1 {
             // Any one component is a cut crossed by no edge.
             Some(0.0)
@@ -343,8 +354,11 @@ impl Monitor {
                 .or_else(|| sweep_cut_csr(&view))
                 .map(|s| s.expansion)
         };
-        let sample = self.reservoir.sample(&view, self.csr.generation());
+        done("mon.sweep", 0);
+        span("mon.stretch");
+        let sample = self.reservoir.sample(&view, generation);
         let stretch = sampled_stretch(&view, &self.gprime, &sample);
+        done("mon.stretch", sample.len() as u64);
         let snap = MetricsSnapshot {
             generation: self.csr.generation(),
             degree_increase: self.degree_increase.max(),
@@ -594,7 +608,8 @@ mod tests {
     /// subscribed monitor. After every event the maintained counts,
     /// histograms and degree increase must equal a recount; every
     /// `checkpoint_every` events the checkpoint must see one component and
-    /// a warm λ₂ within 1e-6 of the cold `normalized_algebraic_connectivity`.
+    /// a warm λ₂ within 1e-6 of the cold `normalized_algebraic_connectivity`,
+    /// converged below the 1e-9 residual tolerance.
     fn assert_tracks_churn(
         g0: &Graph,
         config: XhealConfig,
@@ -632,6 +647,11 @@ mod tests {
                     (report.spectral_gap.lambda - exact).abs() < 1e-6,
                     "step {step}: warm gap {} vs fresh {exact}",
                     report.spectral_gap.lambda
+                );
+                assert!(
+                    report.spectral_gap.residual < 1e-9,
+                    "step {step}: residual {}",
+                    report.spectral_gap.residual
                 );
                 // Healed paths may even be *shorter* than G' (clouds add
                 // shortcuts), but a connected graph never yields an

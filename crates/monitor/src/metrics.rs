@@ -246,11 +246,17 @@ impl StretchReservoir {
 }
 
 /// The monitor's append-only shadow of the insertion-only reference graph
-/// `G'`: adjacency by node id, grown from black-edge deltas, never shrunk
-/// (deletions do not touch `G'`, per the model).
+/// `G'`, grown from black-edge deltas and never shrunk (deletions do not
+/// touch `G'`, per the model). Each node gets a dense slot on arrival, so
+/// the adjacency is plain vectors and a BFS needs no map.
 #[derive(Clone, Debug, Default)]
 pub struct GPrimeShadow {
-    adj: FxHashMap<NodeId, Vec<NodeId>>,
+    /// Dense slot of every node `G'` ever held.
+    slots: FxHashMap<NodeId, u32>,
+    /// Neighbour slots, indexed by slot.
+    adj: Vec<Vec<u32>>,
+    /// Number of recorded edges.
+    edges: usize,
 }
 
 impl GPrimeShadow {
@@ -259,25 +265,39 @@ impl GPrimeShadow {
         GPrimeShadow::default()
     }
 
+    /// The slot of `v`, assigned on first sight.
+    fn slot_or_insert(&mut self, v: NodeId) -> u32 {
+        let next = u32::try_from(self.adj.len()).expect("G' holds fewer than 2^32 nodes");
+        let slot = *self.slots.entry(v).or_insert(next);
+        if slot == next {
+            self.adj.push(Vec::new());
+        }
+        slot
+    }
+
     /// Registers a node (idempotent).
     pub fn add_node(&mut self, v: NodeId) {
-        self.adj.entry(v).or_default();
+        self.slot_or_insert(v);
     }
 
     /// Records an insertion edge; returns `false` (and changes nothing) on
     /// duplicates.
     pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        if self.adj.get(&a).is_some_and(|l| l.contains(&b)) {
+        let (sa, sb) = (self.slot_or_insert(a), self.slot_or_insert(b));
+        if self.adj[sa as usize].contains(&sb) {
             return false;
         }
-        self.adj.entry(a).or_default().push(b);
-        self.adj.entry(b).or_default().push(a);
+        self.adj[sa as usize].push(sb);
+        self.adj[sb as usize].push(sa);
+        self.edges += 1;
         true
     }
 
     /// Baseline degree of `v` (0 if never seen).
     pub fn degree(&self, v: NodeId) -> usize {
-        self.adj.get(&v).map(Vec::len).unwrap_or(0)
+        self.slots
+            .get(&v)
+            .map_or(0, |&s| self.adj[s as usize].len())
     }
 
     /// Number of nodes ever seen.
@@ -290,72 +310,104 @@ impl GPrimeShadow {
     /// membership alone and never installs black edges): every
     /// reference-relative metric is vacuous then.
     pub fn edge_count(&self) -> usize {
-        self.adj.values().map(Vec::len).sum::<usize>() / 2
+        self.edges
     }
+}
 
-    /// BFS distances from `s` in `G'` (dead nodes are traversed — a
-    /// baseline shortest path may run through them, per the model).
-    pub fn bfs(&self, s: NodeId) -> FxHashMap<NodeId, u32> {
-        let mut dist: FxHashMap<NodeId, u32> = FxHashMap::default();
-        if !self.adj.contains_key(&s) {
-            return dist;
-        }
-        let mut queue: VecDeque<NodeId> = VecDeque::new();
-        dist.insert(s, 0);
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            let du = dist[&u];
-            for &w in &self.adj[&u] {
-                if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(w) {
-                    e.insert(du + 1);
-                    queue.push_back(w);
-                }
+/// BFS from `source` over `neighbors`, writing hop counts into `dist`
+/// (`u32::MAX` where unreached) and stopping after the first level at which
+/// every node in `targets` has its distance. Distances it writes are final.
+fn bfs_until<'a>(
+    source: u32,
+    neighbors: impl Fn(usize) -> &'a [u32],
+    targets: &[u32],
+    dist: &mut [u32],
+    queue: &mut VecDeque<u32>,
+) {
+    dist.fill(u32::MAX);
+    dist[source as usize] = 0;
+    queue.clear();
+    queue.push_back(source);
+    let mut level = 0;
+    while let Some(u) = queue.pop_front() {
+        let du = dist[u as usize];
+        if du > level {
+            level = du;
+            if targets.iter().all(|&t| dist[t as usize] != u32::MAX) {
+                return;
             }
         }
-        dist
+        for &w in neighbors(u as usize) {
+            if dist[w as usize] == u32::MAX {
+                dist[w as usize] = du + 1;
+                queue.push_back(w);
+            }
+        }
     }
 }
 
 /// Max stretch over the sampled sources/targets: BFS in the live CSR vs
-/// BFS in the `G'` shadow, `f64::INFINITY` when a baseline-connected pair
-/// is disconnected live (a healing failure). `None` when no comparable
-/// pair exists in the sample. Sampled nodes absent from the live graph
-/// (stale caller-built samples) are skipped, not fatal.
+/// BFS in the `G'` shadow (dead nodes are traversed there — a baseline
+/// shortest path may run through them, per the model), `f64::INFINITY`
+/// when a baseline-connected pair is disconnected live (a healing failure).
+/// `None` when no comparable pair exists in the sample. Sampled nodes
+/// absent from the live graph (stale caller-built samples) are skipped,
+/// not fatal. Each BFS stops once it has reached the sampled nodes it
+/// compares against.
 pub fn sampled_stretch(csr: &CsrView, gprime: &GPrimeShadow, sample: &[NodeId]) -> Option<f64> {
-    let mut worst: Option<f64> = None;
+    // Each sampled node with its live index and its `G'` slot.
+    let located: Vec<(NodeId, Option<usize>, Option<u32>)> = sample
+        .iter()
+        .map(|&v| (v, csr.index_of(v), gprime.slots.get(&v).copied()))
+        .collect();
     let mut live_dist = vec![u32::MAX; csr.len()];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for &s in sample {
-        let Some(si) = csr.index_of(s) else { continue };
-        // BFS in the live graph over dense indices.
-        live_dist.fill(u32::MAX);
-        live_dist[si] = 0;
-        queue.clear();
-        queue.push_back(si);
-        while let Some(u) = queue.pop_front() {
-            let du = live_dist[u];
-            for &w in csr.neighbors_of(u) {
-                let w = w as usize;
-                if live_dist[w] == u32::MAX {
-                    live_dist[w] = du + 1;
-                    queue.push_back(w);
-                }
+    let mut base_dist = vec![u32::MAX; gprime.node_count()];
+    let mut queue: VecDeque<u32> = VecDeque::new();
+    let mut targets: Vec<u32> = Vec::new();
+    // (live index, baseline distance) of each pair compared against `s`.
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    let mut worst: Option<f64> = None;
+    for &(s, si, ss) in &located {
+        let (Some(si), Some(ss)) = (si, ss) else {
+            continue;
+        };
+        targets.clear();
+        targets.extend(
+            located
+                .iter()
+                .filter(|&&(t, _, _)| t > s)
+                .filter_map(|&(_, _, ts)| ts),
+        );
+        if targets.is_empty() {
+            continue;
+        }
+        bfs_until(ss, |u| &gprime.adj[u], &targets, &mut base_dist, &mut queue);
+        pairs.clear();
+        for &(t, ti, ts) in &located {
+            let (Some(ti), Some(ts)) = (ti, ts) else {
+                continue;
+            };
+            let db = base_dist[ts as usize];
+            if t > s && db != u32::MAX {
+                pairs.push((ti as u32, db));
             }
         }
-        let base = gprime.bfs(s);
-        for &t in sample {
-            if t <= s {
-                continue;
-            }
-            let Some(&db) = base.get(&t) else { continue };
-            if db == 0 {
-                continue;
-            }
-            let Some(ti) = csr.index_of(t) else { continue };
-            let r = if live_dist[ti] == u32::MAX {
-                f64::INFINITY
-            } else {
-                live_dist[ti] as f64 / db as f64
+        if pairs.is_empty() {
+            continue;
+        }
+        targets.clear();
+        targets.extend(pairs.iter().map(|&(ti, _)| ti));
+        bfs_until(
+            si as u32,
+            |u| csr.neighbors_of(u),
+            &targets,
+            &mut live_dist,
+            &mut queue,
+        );
+        for &(ti, db) in &pairs {
+            let r = match live_dist[ti as usize] {
+                u32::MAX => f64::INFINITY,
+                dl => dl as f64 / db as f64,
             };
             worst = Some(worst.map_or(r, |w: f64| w.max(r)));
         }
@@ -486,8 +538,17 @@ mod tests {
             assert!(gp.add_edge(n(0), n(leaf)));
         }
         assert!(!gp.add_edge(n(0), n(1)), "duplicate rejected");
-        let d = gp.bfs(n(1));
-        assert_eq!(d[&n(2)], 2, "leaf-to-leaf runs through the dead hub");
+        assert_eq!(
+            (gp.node_count(), gp.edge_count(), gp.degree(n(0))),
+            (5, 4, 4)
+        );
+        let (from, to) = (gp.slots[&n(1)], gp.slots[&n(2)]);
+        let mut dist = vec![0; gp.node_count()];
+        bfs_until(from, |u| &gp.adj[u], &[to], &mut dist, &mut VecDeque::new());
+        assert_eq!(
+            dist[to as usize], 2,
+            "leaf-to-leaf runs through the dead hub"
+        );
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   [`DENSE_CUTOFF`] nodes and as ground truth in tests;
 //! - [`lanczos_deflated`]: matrix-free Lanczos with full reorthogonalization
 //!   and deflation of the Laplacian's all-ones kernel, used for larger
-//!   graphs.
+//!   graphs; [`lanczos_thick_restart`] restarts it to a residual tolerance
+//!   from a warm start vector.
 //!
 //! # Examples
 //!
@@ -41,8 +42,8 @@ mod tridiag;
 pub use dense::SymMatrix;
 pub use jacobi::{jacobi_eigen, EigenDecomposition};
 pub use lanczos::{
-    lanczos_deflated, lanczos_deflated_from, lanczos_multi_deflated, lanczos_multi_deflated_from,
-    LanczosResult, LinOp,
+    lanczos_deflated, lanczos_multi_deflated, lanczos_thick_restart, Eigenpair, LanczosResult,
+    LinOp,
 };
 pub use laplacian::{
     algebraic_connectivity, algebraic_connectivity_csr, fiedler_vector, fiedler_vector_csr,

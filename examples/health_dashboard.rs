@@ -80,7 +80,7 @@ fn main() {
         fmt(report.degree_increase)
     );
     println!(
-        "components {}   spectral gap {} ({} warm restarts)   lambda3 {}   expansion {}   stretch {}",
+        "components {}   spectral gap {} ({} restart cycles)   lambda3 {}   expansion {}   stretch {}",
         report.components,
         fmt(report.spectral_gap.lambda),
         report.spectral_gap.restarts,

@@ -218,6 +218,35 @@ fn chrome_export_is_balanced_and_monotone() {
         .any(|e| e.layer == Layer::Planner && e.depth > 0 && e.kind == EvKind::Begin));
 }
 
+#[test]
+fn checkpoint_records_each_part_once_inside_its_span() {
+    let tracer = Tracer::shared(1 << 10);
+    let g0 = generators::ring_with_chords(96);
+    let mut monitor = Monitor::new(&g0, MonitorConfig::default());
+    monitor.set_tracer(Some(tracer.clone()));
+    let report = monitor.checkpoint();
+    assert_eq!(report.components, 1, "the sweep runs on a connected graph");
+    let tree = hook::lock(&tracer).span_tree();
+    let spans: Vec<(u32, EvKind, &str)> = tree
+        .iter()
+        .filter(|e| e.layer == Layer::Monitor && e.kind != EvKind::Instant)
+        .map(|e| (e.depth, e.kind, e.name))
+        .collect();
+    let mut expect = vec![(0, EvKind::Begin, "mon.checkpoint")];
+    for part in [
+        "mon.snapshot",
+        "mon.components",
+        "mon.gap",
+        "mon.sweep",
+        "mon.stretch",
+    ] {
+        expect.push((1, EvKind::Begin, part));
+        expect.push((1, EvKind::End, part));
+    }
+    expect.push((0, EvKind::End, "mon.checkpoint"));
+    assert_eq!(spans, expect);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
