@@ -934,21 +934,44 @@ impl Graph {
 
     /// Builds a dense CSR snapshot of the current topology: nodes in
     /// ascending-`NodeId` order re-numbered `0..n`, neighbor lists as dense
-    /// indices. One O(n + m) pass — no per-neighbor searches — shared by the
-    /// Laplacian operators, BFS, components, and cut enumeration.
+    /// indices. One pass, O(n + m) plus one word per arena slot — no
+    /// per-neighbor searches — shared by the Laplacian operators, BFS,
+    /// components, and cut enumeration.
+    ///
+    /// While the ids are dense (the largest live id below `DENSE_ID_LIMIT`
+    /// is under `2n + 64`), the view also carries an id → dense-index table
+    /// up to that id, so [`CsrView::index_of`] is one array read. Ids that
+    /// climbed past that bound under churn get no table, which keeps the
+    /// snapshot's cost independent of the largest id ever allocated.
     pub fn csr_view(&self) -> CsrView {
         let n = self.ordered.len();
         let mut nodes = Vec::with_capacity(n);
-        let mut slot_to_dense = vec![u32::MAX; self.slots.len()];
+        let mut slots = Vec::with_capacity(n);
+        let mut slot_to_dense = vec![ABSENT; self.slots.len()];
+        let table_len = self
+            .ordered
+            .range(..NodeId::new(DENSE_ID_LIMIT))
+            .next_back()
+            .map_or(0, |v| v.as_u64() as usize + 1);
+        let mut id_to_dense = if table_len <= 2 * n + 64 {
+            vec![ABSENT; table_len]
+        } else {
+            Vec::new()
+        };
         for (i, &v) in self.ordered.iter().enumerate() {
+            let slot = self.index.get(v).expect("ordered node interned");
             nodes.push(v);
-            slot_to_dense[self.index.get(v).expect("ordered node interned") as usize] = i as u32;
+            slots.push(slot);
+            slot_to_dense[slot as usize] = i as u32;
+            if let Some(entry) = id_to_dense.get_mut(v.as_u64() as usize) {
+                *entry = i as u32;
+            }
         }
         let mut offsets = Vec::with_capacity(n + 1);
         let mut neighbors = Vec::with_capacity(2 * self.edge_count);
         offsets.push(0u32);
-        for &v in &nodes {
-            let s = &self.slots[self.index.get(v).expect("ordered node interned") as usize];
+        for &slot in &slots {
+            let s = &self.slots[slot as usize];
             neighbors.extend(s.nbrs.iter().map(|nb| slot_to_dense[nb.slot as usize]));
             offsets.push(neighbors.len() as u32);
         }
@@ -956,6 +979,7 @@ impl Graph {
             nodes,
             offsets,
             neighbors,
+            id_to_dense,
         }
     }
 
@@ -1256,35 +1280,14 @@ pub struct CsrView {
     nodes: Vec<NodeId>,
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
+    /// `id_to_dense[id]` is the dense index of node `id`, or `ABSENT`. It
+    /// covers ids up to the largest live id below `DENSE_ID_LIMIT`, or is
+    /// empty when that id is `2n + 64` or more; ids past its end are looked
+    /// up in `nodes`.
+    id_to_dense: Vec<u32>,
 }
 
 impl CsrView {
-    /// Assembles a view from raw CSR arrays — the entry point for consumers
-    /// (e.g. incrementally maintained monitors) that build the dense
-    /// representation themselves and want to hand it to the CSR-consuming
-    /// algorithms without an owning copy of a [`Graph`].
-    ///
-    /// Invariants required (debug-asserted): `nodes` sorted strictly
-    /// ascending, `offsets.len() == nodes.len() + 1` starting at 0 and
-    /// non-decreasing with `neighbors.len()` as the final entry, and every
-    /// neighbor index below `nodes.len()`.
-    pub fn from_parts(nodes: Vec<NodeId>, offsets: Vec<u32>, neighbors: Vec<u32>) -> Self {
-        debug_assert_eq!(offsets.len(), nodes.len() + 1);
-        debug_assert_eq!(offsets.first(), Some(&0));
-        debug_assert_eq!(
-            *offsets.last().expect("nonempty offsets") as usize,
-            neighbors.len()
-        );
-        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        debug_assert!(neighbors.iter().all(|&j| (j as usize) < nodes.len()));
-        CsrView {
-            nodes,
-            offsets,
-            neighbors,
-        }
-    }
-
     /// Number of nodes in the snapshot.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -1305,9 +1308,19 @@ impl CsrView {
         self.nodes[i]
     }
 
-    /// Dense index of `v`, if present (binary search over the sorted spine).
+    /// Dense index of `v`, if present: one read of the id table for ids it
+    /// covers, a binary search over the sorted spine for ids past it (spill
+    /// ids, ids above every live one, and every id when the live ids are
+    /// too sparse for a table).
+    #[inline]
     pub fn index_of(&self, v: NodeId) -> Option<usize> {
-        self.nodes.binary_search(&v).ok()
+        let id = v.as_u64();
+        if id < self.id_to_dense.len() as u64 {
+            let i = self.id_to_dense[id as usize];
+            (i != ABSENT).then_some(i as usize)
+        } else {
+            self.nodes.binary_search(&v).ok()
+        }
     }
 
     /// Dense neighbor indices of dense node `i`, ascending.
@@ -1805,5 +1818,79 @@ mod tests {
             assert_eq!(csr.index_of(v), Some(i));
         }
         assert_eq!(csr.index_of(n(0)), None);
+    }
+
+    #[test]
+    fn index_of_agrees_with_a_search_of_the_spine() {
+        let spill = n((1 << 24) + 5);
+        let mut g = Graph::new();
+        for i in 0..20 {
+            g.add_node(n(i)).unwrap();
+        }
+        for i in 0..19 {
+            g.add_black_edge(n(i), n(i + 1)).unwrap();
+        }
+        for dead in [3, 7, 19] {
+            g.remove_node(n(dead)).unwrap();
+        }
+        // Recycle the freed slots, out of id order, and intern a spill id.
+        for new in [40, 25, spill.as_u64()] {
+            g.add_node(n(new)).unwrap();
+            g.add_black_edge(n(new), n(2)).unwrap();
+        }
+        let csr = g.csr_view();
+        assert_eq!(csr.id_to_dense.len(), 41, "a table to the largest dense id");
+        let search = |csr: &CsrView, v: NodeId| csr.nodes().binary_search(&v).ok();
+        for (i, &v) in csr.nodes().iter().enumerate() {
+            assert_eq!(csr.index_of(v), Some(i), "live {v}");
+        }
+        // Removed ids, an absent id inside the table, ids above every live
+        // dense id, a live and an absent spill id.
+        for v in [3, 7, 19, 30, 41, 1_000, 1 << 30, spill.as_u64(), u64::MAX] {
+            assert_eq!(csr.index_of(n(v)), search(&csr, n(v)), "id {v}");
+        }
+        assert_eq!(csr.index_of(spill), Some(csr.len() - 1));
+        assert_eq!(csr.index_of(n(19)), None);
+
+        let empty = Graph::new().csr_view();
+        for v in [0, 5, 1 << 30] {
+            assert_eq!(empty.index_of(n(v)), None, "id {v} in the empty view");
+        }
+    }
+
+    #[test]
+    fn index_of_searches_when_churn_leaves_the_ids_sparse() {
+        // A sliding window of 16 live ids: each round deletes the oldest
+        // node and inserts a fresh id, so the largest id climbs while n
+        // stays flat, as under steady churn.
+        let mut ids = crate::IdAllocator::new();
+        let mut g = Graph::new();
+        let mut live = std::collections::VecDeque::new();
+        for _ in 0..16 {
+            let v = ids.fresh();
+            g.add_node(v).unwrap();
+            live.push_back(v);
+        }
+        let mut sizes = Vec::new();
+        for _ in 0..200 {
+            g.remove_node(live.pop_front().unwrap()).unwrap();
+            let v = ids.fresh();
+            g.add_node(v).unwrap();
+            g.add_black_edge(v, *live.back().unwrap()).unwrap();
+            live.push_back(v);
+            sizes.push(g.csr_view().id_to_dense.len());
+        }
+        // Tables while the largest id is below 2n + 64 = 96, none after.
+        assert_eq!(sizes[..80], (17..97).collect::<Vec<_>>()[..]);
+        assert!(sizes[80..].iter().all(|&len| len == 0), "{sizes:?}");
+
+        let csr = g.csr_view();
+        for (i, &v) in csr.nodes().iter().enumerate() {
+            assert_eq!(csr.index_of(v), Some(i), "live {v}");
+        }
+        for v in (0..=230).chain([1 << 24, 1 << 30]) {
+            let search = csr.nodes().binary_search(&n(v)).ok();
+            assert_eq!(csr.index_of(n(v)), search, "id {v}");
+        }
     }
 }

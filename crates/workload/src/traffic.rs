@@ -44,8 +44,31 @@ pub struct RoutingRequest {
 /// Clockwise-or-counterclockwise distance between two ids on the identifier
 /// ring of size `ring` (the original overlay size; deleted ids leave holes
 /// but survivors keep their ring positions).
+///
+/// # Panics
+///
+/// Panics if `ring` is 0.
+#[inline]
 pub fn ring_distance(a: u64, b: u64, ring: u64) -> u64 {
-    let d = (a % ring).abs_diff(b % ring);
+    ring_gap(ring_position(a, ring), ring_position(b, ring), ring)
+}
+
+/// `id`'s position on the ring: `id % ring`, dividing only for ids past
+/// the ring (inserted nodes), since the original overlay's ids lie below
+/// it. Panics if `ring` is 0.
+#[inline]
+fn ring_position(id: u64, ring: u64) -> u64 {
+    if id < ring {
+        id
+    } else {
+        id % ring
+    }
+}
+
+/// The shorter arc between two ring positions (both below `ring`).
+#[inline]
+fn ring_gap(a: u64, b: u64, ring: u64) -> u64 {
+    let d = a.abs_diff(b);
     d.min(ring - d)
 }
 
@@ -83,14 +106,19 @@ pub fn greedy_next_hop(
         return None;
     }
     let dst_id = csr.node(dst).as_u64();
+    let dst_pos = ring_position(dst_id, ring);
     let mut best = (u64::MAX, 0usize);
     for &j in neighbors {
-        let d = ring_distance(csr.node(j as usize).as_u64(), dst_id, ring);
+        let d = ring_gap(
+            ring_position(csr.node(j as usize).as_u64(), ring),
+            dst_pos,
+            ring,
+        );
         if d < best.0 {
             best = (d, j as usize);
         }
     }
-    if best.0 < ring_distance(csr.node(at).as_u64(), dst_id, ring) {
+    if best.0 < ring_gap(ring_position(csr.node(at).as_u64(), ring), dst_pos, ring) {
         Some(best.1)
     } else {
         let pick = mix(at as u64, dst_id, salt) as usize % neighbors.len();
@@ -155,9 +183,17 @@ pub fn bfs_distance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use xheal_graph::generators;
+
+    /// The ring distance as first written: both ids reduced modulo the
+    /// ring on every call.
+    fn modulo_ring_distance(a: u64, b: u64, ring: u64) -> u64 {
+        let d = (a % ring).abs_diff(b % ring);
+        d.min(ring - d)
+    }
 
     #[test]
     fn ring_distance_wraps_both_ways() {
@@ -165,6 +201,98 @@ mod tests {
         assert_eq!(ring_distance(0, 15, 16), 1);
         assert_eq!(ring_distance(3, 11, 16), 8);
         assert_eq!(ring_distance(5, 5, 16), 0);
+        assert_eq!(ring_distance(16, 33, 16), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "divisor of zero")]
+    fn ring_distance_on_an_empty_ring_panics() {
+        ring_distance(3, 5, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn ring_distance_matches_the_modulo_formula(
+            ring in 1u64..=1 << 20,
+            a in any::<u64>(),
+            b in any::<u64>(),
+        ) {
+            // Ids on the ring, past it by less than one lap, and anywhere.
+            let (a_on, b_on) = (a % ring, b % ring);
+            let (a_near, b_near) = (a % (2 * ring), b % (2 * ring));
+            for (x, y) in [(a_on, b_on), (a_on, b_near), (a_near, b_on), (a_near, b_near),
+                           (a, b_on), (a_near, b), (a, b), (ring - 1, 0), (ring, ring - 1)] {
+                prop_assert_eq!(ring_distance(x, y, ring), modulo_ring_distance(x, y, ring));
+            }
+        }
+    }
+
+    /// [`greedy_next_hop`] as first written, over [`modulo_ring_distance`].
+    fn modulo_next_hop(
+        csr: &CsrView,
+        at: usize,
+        dst: usize,
+        ring: u64,
+        salt: u64,
+    ) -> Option<usize> {
+        if at == dst {
+            return None;
+        }
+        let neighbors = csr.neighbors_of(at);
+        if neighbors.is_empty() {
+            return None;
+        }
+        let dst_id = csr.node(dst).as_u64();
+        let mut best = (u64::MAX, 0usize);
+        for &j in neighbors {
+            let d = modulo_ring_distance(csr.node(j as usize).as_u64(), dst_id, ring);
+            if d < best.0 {
+                best = (d, j as usize);
+            }
+        }
+        if best.0 < modulo_ring_distance(csr.node(at).as_u64(), dst_id, ring) {
+            Some(best.1)
+        } else {
+            let pick = mix(at as u64, dst_id, salt) as usize % neighbors.len();
+            Some(neighbors[pick] as usize)
+        }
+    }
+
+    #[test]
+    fn greedy_next_hop_matches_the_modulo_formula_on_every_pair() {
+        // The churn-holes graph below, then the same graph with inserted
+        // ids past the ring, which wrap.
+        let n = 128u64;
+        let mut g = generators::ring_with_chords(n as usize);
+        for dead in [3u64, 4, 5, 64, 65, 100] {
+            g.remove_node(NodeId::new(dead)).expect("live");
+        }
+        let holes = g.csr_view();
+        for (id, contacts) in [(130u64, [2u64, 70]), (200, [6, 99]), (515, [1, 130])] {
+            g.add_node(NodeId::new(id)).expect("fresh");
+            for c in contacts {
+                g.add_black_edge(NodeId::new(id), NodeId::new(c))
+                    .expect("live");
+            }
+        }
+        let wrapped = g.csr_view();
+        for csr in [&holes, &wrapped] {
+            for at in 0..csr.len() {
+                for dst in 0..csr.len() {
+                    for salt in 1..=3 {
+                        assert_eq!(
+                            greedy_next_hop(csr, at, dst, n, salt),
+                            modulo_next_hop(csr, at, dst, n, salt),
+                            "{} -> {} salt {salt}",
+                            csr.node(at),
+                            csr.node(dst)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
