@@ -13,9 +13,22 @@ use crate::{CsrView, Graph, NodeId};
 
 const UNSEEN: u32 = u32::MAX;
 
-/// Dense BFS from `src` (a dense index) over `csr`, writing distances into
-/// `dist` (reset to [`UNSEEN`] first). `queue` is reused scratch.
-fn bfs_dense(csr: &CsrView, src: usize, dist: &mut Vec<u32>, queue: &mut VecDeque<u32>) {
+/// Dense BFS from `src` (a dense index) over `csr`, writing each node's hop
+/// distance into `dist` by dense index; nodes `src` cannot reach hold
+/// `u32::MAX`. `dist` and `queue` are reusable buffers, so a caller running
+/// one BFS per source allocates nothing after the first.
+///
+/// # Examples
+///
+/// ```
+/// use std::collections::VecDeque;
+/// use xheal_graph::{generators, traversal};
+/// let csr = generators::path(4).csr_view();
+/// let (mut dist, mut queue) = (Vec::new(), VecDeque::new());
+/// traversal::bfs_dense(&csr, 1, &mut dist, &mut queue);
+/// assert_eq!(dist, [1, 0, 1, 2]);
+/// ```
+pub fn bfs_dense(csr: &CsrView, src: usize, dist: &mut Vec<u32>, queue: &mut VecDeque<u32>) {
     dist.clear();
     dist.resize(csr.len(), UNSEEN);
     queue.clear();

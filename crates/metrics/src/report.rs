@@ -1,7 +1,12 @@
 //! The success metrics of the paper's model (Figure 1, "Success metrics").
 
-use xheal_graph::{cuts, traversal, Graph, NodeId};
+use std::collections::VecDeque;
+
+use xheal_graph::{cuts, traversal, Graph};
 use xheal_spectral::{algebraic_connectivity, normalized_algebraic_connectivity, sweep_cut};
+
+/// The distance [`traversal::bfs_dense`] leaves at an unreached node.
+const UNSEEN: u32 = u32::MAX;
 
 /// Success metric 1: `max_v degree(v, G_t) / degree(v, G'_t)` over live
 /// nodes with nonzero `G'` degree. Returns 0 for an empty graph.
@@ -27,34 +32,35 @@ pub fn degree_increase(g: &Graph, gprime: &Graph) -> f64 {
 /// Returns `None` if no comparable pair exists, `Some(f64::INFINITY)` if a
 /// pair connected in `G'` is disconnected in `G` (a healing failure).
 pub fn stretch(g: &Graph, gprime: &Graph, exact_limit: usize, sample: usize) -> Option<f64> {
-    let live: Vec<NodeId> = g.node_vec();
-    if live.len() < 2 {
+    let n = g.node_count();
+    if n < 2 {
         return None;
     }
-    let sources: Vec<NodeId> = if live.len() <= exact_limit {
-        live.clone()
+    let (csr, csr_p) = (g.csr_view(), gprime.csr_view());
+    // Each live node's dense index in `G'`, `None` where `G'` lacks it.
+    let in_p: Vec<Option<usize>> = csr.nodes().iter().map(|&v| csr_p.index_of(v)).collect();
+    // Deterministic spread when sampled: every ceil(n/sample)-th node.
+    let step = if n <= exact_limit {
+        1
     } else {
-        // Deterministic spread: every ceil(n/sample)-th node.
-        let step = live.len().div_ceil(sample.max(1));
-        live.iter().copied().step_by(step.max(1)).collect()
+        n.div_ceil(sample.max(1)).max(1)
     };
-
+    let (mut dg, mut dp, mut queue) = (Vec::new(), Vec::new(), VecDeque::new());
     let mut worst: Option<f64> = None;
-    for &s in &sources {
-        let dg = traversal::bfs_distances(g, s);
-        let dp = traversal::bfs_distances(gprime, s);
-        for &t in &live {
-            if t <= s {
+    for s in (0..n).step_by(step) {
+        let Some(sp) = in_p[s] else { continue };
+        traversal::bfs_dense(&csr, s, &mut dg, &mut queue);
+        traversal::bfs_dense(&csr_p, sp, &mut dp, &mut queue);
+        // Dense indices ascend with node ids, so `s + 1..` is every `t > s`.
+        for t in s + 1..n {
+            let Some(b) = in_p[t].map(|tp| dp[tp]).filter(|&b| b != UNSEEN) else {
                 continue;
+            };
+            if dg[t] == UNSEEN {
+                return Some(f64::INFINITY);
             }
-            match (dg.get(&t), dp.get(&t)) {
-                (Some(&a), Some(&b)) if b > 0 => {
-                    let r = a as f64 / b as f64;
-                    worst = Some(worst.map_or(r, |w: f64| w.max(r)));
-                }
-                (None, Some(&b)) if b > 0 => return Some(f64::INFINITY),
-                _ => {}
-            }
+            let r = dg[t] as f64 / b as f64;
+            worst = Some(worst.map_or(r, |w: f64| w.max(r)));
         }
     }
     worst
@@ -117,7 +123,7 @@ pub fn expansion_estimate(g: &Graph) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xheal_graph::generators;
+    use xheal_graph::{generators, NodeId};
 
     #[test]
     fn degree_increase_identity_is_one() {
@@ -133,6 +139,76 @@ mod tests {
         g.add_black_edge(NodeId::new(0), NodeId::new(3)).unwrap();
         // Node 0: degree 3 vs 1 in G'.
         assert_eq!(degree_increase(&g, &gp), 3.0);
+    }
+
+    /// The per-source `BTreeMap` stretch that [`stretch`] replaced, kept as
+    /// its reference.
+    fn stretch_oracle(g: &Graph, gprime: &Graph, exact_limit: usize, sample: usize) -> Option<f64> {
+        let live: Vec<NodeId> = g.node_vec();
+        if live.len() < 2 {
+            return None;
+        }
+        let sources: Vec<NodeId> = if live.len() <= exact_limit {
+            live.clone()
+        } else {
+            let step = live.len().div_ceil(sample.max(1));
+            live.iter().copied().step_by(step.max(1)).collect()
+        };
+        let mut worst: Option<f64> = None;
+        for &s in &sources {
+            let dg = traversal::bfs_distances(g, s);
+            let dp = traversal::bfs_distances(gprime, s);
+            for &t in &live {
+                if t <= s {
+                    continue;
+                }
+                match (dg.get(&t), dp.get(&t)) {
+                    (Some(&a), Some(&b)) if b > 0 => {
+                        let r = a as f64 / b as f64;
+                        worst = Some(worst.map_or(r, |w: f64| w.max(r)));
+                    }
+                    (None, Some(&b)) if b > 0 => return Some(f64::INFINITY),
+                    _ => {}
+                }
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn stretch_matches_its_oracle_bit_for_bit_after_churn() {
+        // G' keeps the 5 dead nodes; G patches each hole with a path over
+        // the victim's neighbours, and gains a node G' never saw.
+        let gp = generators::ring_with_chords(160);
+        let mut g = gp.clone();
+        for v in [3u64, 40, 41, 97, 150].map(NodeId::new) {
+            let nbrs: Vec<NodeId> = g.neighbors(v).collect();
+            g.remove_node(v).unwrap();
+            for w in nbrs.windows(2) {
+                let _ = g.add_black_edge(w[0], w[1]);
+            }
+        }
+        g.add_node(NodeId::new(500)).unwrap();
+        g.add_black_edge(NodeId::new(500), NodeId::new(7)).unwrap();
+        let mut cut = g.clone();
+        for t in cut.neighbors(NodeId::new(60)).collect::<Vec<_>>() {
+            cut.remove_edge(NodeId::new(60), t).unwrap();
+        }
+        for (name, h) in [("patched", &g), ("disconnected", &cut)] {
+            for (limit, sample) in [(1_000, 0), (10, 7), (10, 0)] {
+                let (got, want) = (
+                    stretch(h, &gp, limit, sample),
+                    stretch_oracle(h, &gp, limit, sample),
+                );
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{name}, limit {limit}, sample {sample}: {got:?} vs {want:?}"
+                );
+            }
+        }
+        assert!(stretch(&g, &gp, 1_000, 0).unwrap().is_finite());
+        assert_eq!(stretch(&cut, &gp, 1_000, 0), Some(f64::INFINITY));
     }
 
     #[test]
@@ -244,6 +320,4 @@ mod tests {
         assert!(est_big >= 1.0 / 16.0 - 1e-9);
         assert!(est_big <= 0.25);
     }
-
-    use xheal_graph::NodeId;
 }

@@ -8,27 +8,19 @@
 //! with thick-restart Lanczos ([`lanczos_thick_restart`]) seeded with it: each
 //! cycle keeps the four lowest Ritz vectors, so a near-degenerate λ₂/λ₃
 //! pair converges in a few cycles instead of stalling. A solve stops when
-//! its explicit residual is below 1e-9, which puts the Ritz value far
-//! closer than 1e-6 to the from-scratch `normalized_algebraic_connectivity`
-//! (asserted at every checkpoint of the crate's
-//! `monitor_tracks_xheal_churn_exactly` test). The converged vector is
-//! kept, and its Cheeger sweep gives the monitor's expansion estimate
-//! without a second solve.
-//!
-//! **Known limit.** Path-like graphs with λ₂ ≲ 1e-4 can exhaust the cycle
-//! budget and return a pair above the residual tolerance. A fresh solve of
-//! `cycle(400)` plus one chord runs all 76 cycles and ends at a residual
-//! of 8e-9 to 5e-5, depending on the chord. Its λ₂ stayed within 2e-7 of
-//! the dense value on the chords tried, but the residual no longer bounds
-//! that error; [`GapEstimate::residual`] reports the shortfall.
+//! its explicit residual is below [`RESIDUAL_TOL`], which puts the Ritz
+//! value far closer than 1e-6 to the cold
+//! `normalized_algebraic_connectivity` (asserted at every checkpoint of the
+//! crate's `monitor_tracks_xheal_churn_exactly` test). The converged vector
+//! is kept, and its Cheeger sweep gives the monitor's expansion estimate
+//! without a second solve. The solver's known limit on path-like graphs
+//! (see [`lanczos_thick_restart`]) applies here too;
+//! [`GapEstimate::residual`] reports the shortfall.
 
 use xheal_graph::{CsrView, NodeId};
-use xheal_spectral::{lanczos_thick_restart, sweep_cut_by, CsrNormalizedLaplacian, SweepCut};
-
-/// Residual `‖L v − λ v‖` declaring the Ritz pair converged (the Ritz
-/// *value* error is then O(residual² / spectral spread) — far below the
-/// 1e-6 agreement budget).
-const RESIDUAL_TOL: f64 = 1e-9;
+use xheal_spectral::{
+    lanczos_thick_restart, sweep_cut_by, CsrNormalizedLaplacian, SweepCut, RESIDUAL_TOL,
+};
 
 /// Result of one warm-started gap estimate.
 #[derive(Clone, Copy, Debug)]

@@ -7,14 +7,19 @@
 //! vector. Full reorthogonalization keeps the basis numerically orthogonal
 //! at the modest dimensions the experiments use (n ≤ a few thousand).
 //!
-//! Two drivers share those kernels: [`lanczos_deflated`] runs one fixed-length
-//! sweep from seeded noise, and [`lanczos_thick_restart`] restarts a short
-//! basis from its lowest Ritz vectors until the explicit residual meets a
-//! tolerance — the warm re-solve the monitor runs at every checkpoint.
+//! One solver, [`lanczos_thick_restart`], restarts a short basis from its
+//! lowest Ritz vectors until the explicit residual meets a tolerance. It
+//! serves both the cold solves above `DENSE_CUTOFF` (from seeded noise) and
+//! the monitor's warm re-solve at every checkpoint (from the last vector).
 
 use crate::jacobi::jacobi_eigen;
-use crate::tridiag::{tridiagonal_eigenvalues, tridiagonal_eigenvector};
 use crate::SymMatrix;
+
+/// Residual `‖P A v − λ v‖` at which a Ritz pair counts as converged, for
+/// the cold λ₂ and Fiedler solves and the monitor's warm tracker alike. The
+/// Ritz *value* error is then O(residual² / spectral spread), far below the
+/// 1e-6 at which the monitor's tests compare warm against cold.
+pub const RESIDUAL_TOL: f64 = 1e-9;
 
 /// A symmetric linear operator given matrix-free.
 pub trait LinOp {
@@ -55,7 +60,7 @@ fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
 }
 
 /// Deterministic pseudo-random start vector (splitmix64-driven).
-fn seeded_vector(n: usize, seed: u64) -> Vec<f64> {
+pub(crate) fn seeded_vector(n: usize, seed: u64) -> Vec<f64> {
     let mut state = seed.wrapping_add(0x9E3779B97F4A7C15);
     let mut next = move || {
         state = state.wrapping_add(0x9E3779B97F4A7C15);
@@ -67,16 +72,6 @@ fn seeded_vector(n: usize, seed: u64) -> Vec<f64> {
     (0..n)
         .map(|_| (next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5)
         .collect()
-}
-
-/// Result of a deflated Lanczos run.
-#[derive(Clone, Debug)]
-pub struct LanczosResult {
-    /// Ritz values (ascending) of the operator restricted to the deflated
-    /// subspace.
-    pub ritz_values: Vec<f64>,
-    /// The Ritz vector corresponding to the smallest Ritz value.
-    pub smallest_vector: Vec<f64>,
 }
 
 /// Orthonormalizes `vs` by (twice-repeated) Gram–Schmidt, dropping vectors
@@ -123,119 +118,6 @@ fn normalize(v: &mut [f64]) -> bool {
     true
 }
 
-/// Runs Lanczos on `op` restricted to the orthogonal complement of
-/// `deflate` (typically the all-ones vector for a Laplacian), for at most
-/// `max_steps` iterations, starting from seeded noise.
-///
-/// Returns `None` when the effective dimension is zero (e.g. `dim < 2`).
-pub fn lanczos_deflated(
-    op: &dyn LinOp,
-    deflate: &[f64],
-    max_steps: usize,
-    seed: u64,
-) -> Option<LanczosResult> {
-    lanczos_multi_deflated(op, &[deflate], max_steps, seed)
-}
-
-/// [`lanczos_deflated`] against a whole deflation *set*: the iteration runs
-/// on the orthogonal complement of `span(deflates)` (orthonormalized
-/// internally; dependent or zero vectors are dropped), so with the kernel
-/// and the Fiedler vector deflated the smallest Ritz value is λ₃. Starts
-/// from seeded noise.
-pub fn lanczos_multi_deflated(
-    op: &dyn LinOp,
-    deflates: &[&[f64]],
-    max_steps: usize,
-    seed: u64,
-) -> Option<LanczosResult> {
-    if op.dim() < 2 {
-        return None;
-    }
-    let start = seeded_vector(op.dim(), seed);
-    lanczos_multi_deflated_from(op, deflates, &start, max_steps)
-}
-
-/// One Lanczos sweep of at most `max_steps` iterations from `start`
-/// (deflated and normalized); `None` when `start` deflates to zero.
-fn lanczos_multi_deflated_from(
-    op: &dyn LinOp,
-    deflates: &[&[f64]],
-    start: &[f64],
-    max_steps: usize,
-) -> Option<LanczosResult> {
-    let n = op.dim();
-    if n < 2 {
-        return None;
-    }
-    for d in deflates {
-        assert_eq!(d.len(), n, "deflation vector dimension mismatch");
-    }
-    assert_eq!(start.len(), n, "start vector dimension mismatch");
-    let deflate_basis = orthonormalize(deflates);
-    let project = |v: &mut [f64]| project_out(&deflate_basis, v);
-
-    let steps = max_steps.min(n).max(1);
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(steps);
-    let mut alphas: Vec<f64> = Vec::with_capacity(steps);
-    let mut betas: Vec<f64> = Vec::with_capacity(steps);
-
-    // Start vector: caller-supplied, deflated, normalized.
-    let mut v = start.to_vec();
-    project(&mut v);
-    if !normalize(&mut v) {
-        return None;
-    }
-    basis.push(v);
-
-    let mut w = vec![0.0f64; n];
-    for j in 0..steps {
-        op.apply(&basis[j], &mut w);
-        project(&mut w);
-        let alpha = dot(&w, &basis[j]);
-        alphas.push(alpha);
-        // w -= alpha * v_j + beta_{j-1} * v_{j-1}
-        axpy(&mut w, -alpha, &basis[j]);
-        if j > 0 {
-            let b = betas[j - 1];
-            axpy(&mut w, -b, &basis[j - 1]);
-        }
-        // Full reorthogonalization (twice for numerical safety).
-        for _ in 0..2 {
-            for q in &basis {
-                let c = dot(&w, q);
-                axpy(&mut w, -c, q);
-            }
-            project(&mut w);
-        }
-        let beta = norm(&w);
-        if beta < 1e-12 || j + 1 == steps {
-            break;
-        }
-        betas.push(beta);
-        let next: Vec<f64> = w.iter().map(|x| x / beta).collect();
-        basis.push(next);
-    }
-
-    let k = alphas.len();
-    let ritz_values = tridiagonal_eigenvalues(&alphas, &betas[..k - 1]);
-    let smallest = ritz_values[0];
-    let coeffs = tridiagonal_eigenvector(&alphas, &betas[..k - 1], smallest);
-    let mut vec = vec![0.0f64; n];
-    for (c, q) in coeffs.iter().zip(&basis) {
-        axpy(&mut vec, *c, q);
-    }
-    let nv = norm(&vec);
-    if nv > 0.0 {
-        for x in &mut vec {
-            *x /= nv;
-        }
-    }
-    Some(LanczosResult {
-        ritz_values,
-        smallest_vector: vec,
-    })
-}
-
 /// Basis vectors per thick-restart cycle.
 const BASIS: usize = 16;
 /// Lowest Ritz vectors a thick restart carries into the next cycle.
@@ -274,9 +156,19 @@ pub struct Eigenpair {
 /// best seen: the kept vectors lie in the next cycle's subspace, so the
 /// lowest Ritz value never rises.
 ///
-/// `start` is deflated and normalized; when it deflates to zero the run
-/// starts from noise seeded by `seed` instead. Returns `None` when the
-/// deflated space is empty (e.g. `dim < 2`).
+/// `start` is deflated and normalized; when it deflates to zero (to within
+/// 1e-12 of its length) the run starts from noise seeded by `seed` instead.
+/// Returns `None` when the deflated space is empty (e.g. `dim < 2`).
+///
+/// **Known limit.** Path-like graphs with λ₂ ≲ 1e-4 can exhaust the cycle
+/// budget and return a pair above the residual tolerance; the cold solves
+/// and the monitor's warm tracker share it. A fresh solve of the normalized
+/// Laplacian of `cycle(400)` plus one chord runs all 76 cycles and ends at
+/// a residual of 8e-9 to 5e-5, depending on the chord. Its λ₂ stayed within
+/// 2e-7 of the dense value on the chords tried, but the residual no longer
+/// bounds that error; [`Eigenpair::residual`] reports the shortfall. On a
+/// cycle of 1,024 nodes (E8's `1025/cycle-heal` row), the cold normalized
+/// λ₂ reads 2.8e-5 against the exact 1 − cos(2π/1024) = 1.88e-5.
 pub fn lanczos_thick_restart(
     op: &dyn LinOp,
     deflates: &[&[f64]],
@@ -293,15 +185,14 @@ pub fn lanczos_thick_restart(
     }
     assert_eq!(start.len(), n, "start vector dimension mismatch");
     let deflate_basis = orthonormalize(deflates);
-    let mut v = start.to_vec();
-    project_out(&deflate_basis, &mut v);
-    if !normalize(&mut v) {
-        v = seeded_vector(n, seed);
+    // A start inside `span(deflates)` leaves only round-off, which would
+    // seed the basis with a deflated direction: treat it as zero.
+    let deflated = |mut v: Vec<f64>| {
+        let scale = norm(&v);
         project_out(&deflate_basis, &mut v);
-        if !normalize(&mut v) {
-            return None;
-        }
-    }
+        (norm(&v) > 1e-12 * scale && normalize(&mut v)).then_some(v)
+    };
+    let v = deflated(start.to_vec()).or_else(|| deflated(seeded_vector(n, seed)))?;
 
     let m = BASIS.min(n);
     let keep = KEPT.min(m - 1);
@@ -420,6 +311,12 @@ mod tests {
         }
     }
 
+    /// A cold solve of `m` off `deflates` from noise seeded by `seed`.
+    fn cold(m: &SymMatrix, deflates: &[&[f64]], seed: u64) -> Eigenpair {
+        let start = seeded_vector(m.dim(), seed);
+        lanczos_thick_restart(m, deflates, &start, seed, RESIDUAL_TOL).unwrap()
+    }
+
     #[test]
     fn recovers_second_eigenvalue_of_diagonal() {
         // Operator diag(0, 1, 5) with deflation of e0 (its 0-eigenvector):
@@ -427,9 +324,8 @@ mod tests {
         let mut m = SymMatrix::zeros(3);
         m.set(1, 1, 1.0);
         m.set(2, 2, 5.0);
-        let deflate = vec![1.0, 0.0, 0.0];
-        let r = lanczos_deflated(&m, &deflate, 10, 7).unwrap();
-        assert!((r.ritz_values[0] - 1.0).abs() < 1e-9, "{:?}", r.ritz_values);
+        let r = cold(&m, &[&[1.0, 0.0, 0.0]], 7);
+        assert!((r.value - 1.0).abs() < 1e-9, "{r:?}");
     }
 
     #[test]
@@ -438,9 +334,9 @@ mod tests {
         for i in 0..4 {
             m.set(i, i, (i * i) as f64);
         }
-        let deflate = vec![0.5; 4];
-        let r = lanczos_deflated(&m, &deflate, 10, 3).unwrap();
-        let d = dot(&r.smallest_vector, &deflate);
+        let deflate = [0.5; 4];
+        let r = cold(&m, &[&deflate], 3);
+        let d = dot(&r.vector, &deflate);
         assert!(d.abs() < 1e-8, "dot with deflation vector = {d}");
     }
 
@@ -451,10 +347,8 @@ mod tests {
         m.set(1, 1, 1.0);
         m.set(2, 2, 5.0);
         m.set(3, 3, 9.0);
-        let d0 = vec![1.0, 0.0, 0.0, 0.0];
-        let d1 = vec![0.0, 1.0, 0.0, 0.0];
-        let r = lanczos_multi_deflated(&m, &[&d0, &d1], 10, 11).unwrap();
-        assert!((r.ritz_values[0] - 5.0).abs() < 1e-9, "{:?}", r.ritz_values);
+        let r = cold(&m, &[&[1.0, 0.0, 0.0, 0.0], &[0.0, 1.0, 0.0, 0.0]], 11);
+        assert!((r.value - 5.0).abs() < 1e-9, "{r:?}");
     }
 
     #[test]
@@ -464,16 +358,13 @@ mod tests {
         let mut m = SymMatrix::zeros(3);
         m.set(1, 1, 1.0);
         m.set(2, 2, 5.0);
-        let d0 = vec![1.0, 0.0, 0.0];
-        let d1 = vec![2.0, 0.0, 0.0];
-        let r = lanczos_multi_deflated(&m, &[&d0, &d1], 10, 13).unwrap();
-        assert!((r.ritz_values[0] - 1.0).abs() < 1e-9, "{:?}", r.ritz_values);
+        let r = cold(&m, &[&[1.0, 0.0, 0.0], &[2.0, 0.0, 0.0]], 13);
+        assert!((r.value - 1.0).abs() < 1e-9, "{r:?}");
     }
 
     #[test]
     fn tiny_dimension_returns_none() {
         let m = SymMatrix::zeros(1);
-        assert!(lanczos_deflated(&m, &[1.0], 5, 1).is_none());
         assert!(lanczos_thick_restart(&m, &[&[1.0]], &[1.0], 1, 1e-9).is_none());
     }
 
@@ -531,6 +422,14 @@ mod tests {
         let r = lanczos_thick_restart(&m, &[&d0, &d1], &[1.0, 1.0, 0.0, 0.0], 11, 1e-9).unwrap();
         assert!((r.value - 5.0).abs() < 1e-12, "value {}", r.value);
         assert!(r.residual < 1e-9 && r.cycles == 1, "{r:?}");
+        // Starting along the kernel leaves only round-off after deflation,
+        // which must not seed the basis either.
+        let csr = xheal_graph::generators::path(20).csr_view();
+        let op = crate::CsrNormalizedLaplacian::new(&csr);
+        let kernel = op.kernel();
+        let r = lanczos_thick_restart(&op, &[&kernel], &kernel, 11, RESIDUAL_TOL).unwrap();
+        let expect = 1.0 - (std::f64::consts::PI / 19.0).cos();
+        assert!((r.value - expect).abs() < 1e-9, "{r:?} vs {expect}");
     }
 
     #[test]
@@ -539,7 +438,7 @@ mod tests {
         m.set(0, 0, 2.0);
         m.set(1, 1, 3.0);
         m.set(2, 2, 4.0);
-        let r = lanczos_deflated(&m, &[0.0; 3], 10, 5).unwrap();
-        assert!((r.ritz_values[0] - 2.0).abs() < 1e-9);
+        let r = cold(&m, &[&[0.0; 3]], 5);
+        assert!((r.value - 2.0).abs() < 1e-9, "{r:?}");
     }
 }

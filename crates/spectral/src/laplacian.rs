@@ -3,17 +3,24 @@
 //! Theorem 2(4) of the paper bounds λ(G_t), the second-smallest eigenvalue of
 //! the Laplacian, and Corollary 1 ("if G'_t is a bounded-degree expander then
 //! so is G_t") is stated through λ. This module computes λ₂ exactly (dense
-//! Jacobi) for small graphs and via deflated Lanczos above that, plus the
-//! Fiedler vector used by the sweep cut.
+//! Jacobi) for small graphs and via thick-restart Lanczos above that, plus
+//! the Fiedler vector used by the sweep cut.
 
 use xheal_graph::{CsrView, Graph, NodeId};
 
 use crate::jacobi::jacobi_eigen;
-use crate::lanczos::{lanczos_deflated, LinOp};
+use crate::lanczos::{lanczos_thick_restart, seeded_vector, Eigenpair, LinOp, RESIDUAL_TOL};
 use crate::SymMatrix;
 
 /// Node-count threshold below which the dense O(n³) Jacobi path is used.
 pub const DENSE_CUTOFF: usize = 220;
+
+/// The cold solve above [`DENSE_CUTOFF`]: the smallest eigenpair of `op`
+/// off its `kernel`, by thick-restart Lanczos from seeded noise.
+fn cold_solve(op: &dyn LinOp, kernel: &[f64]) -> Option<Eigenpair> {
+    let start = seeded_vector(op.dim(), 0x5EED);
+    lanczos_thick_restart(op, &[kernel], &start, 0x5EED, RESIDUAL_TOL)
+}
 
 /// Dense Laplacian of `g` over the sorted node order; returns the node order
 /// alongside so eigenvector entries can be mapped back to nodes.
@@ -133,65 +140,12 @@ impl LinOp for CsrNormalizedLaplacian<'_> {
     }
 }
 
-/// Matrix-free Laplacian operator (CSR-style) for the Lanczos path.
-#[derive(Clone, Debug)]
-pub struct LaplacianOp {
-    nodes: Vec<NodeId>,
-    offsets: Vec<usize>,
-    neighbors: Vec<usize>,
-    degrees: Vec<f64>,
-}
-
-impl LaplacianOp {
-    /// Builds the operator from a graph snapshot (one [`Graph::csr_view`]
-    /// pass; no per-neighbor index searches).
-    pub fn new(g: &Graph) -> Self {
-        let csr = g.csr_view();
-        let n = csr.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::with_capacity(2 * g.edge_count());
-        let mut degrees = Vec::with_capacity(n);
-        offsets.push(0);
-        for i in 0..n {
-            neighbors.extend(csr.neighbors_of(i).iter().map(|&j| j as usize));
-            offsets.push(neighbors.len());
-            degrees.push(csr.degree_of(i) as f64);
-        }
-        LaplacianOp {
-            nodes: csr.nodes().to_vec(),
-            offsets,
-            neighbors,
-            degrees,
-        }
-    }
-
-    /// The node order backing the operator's coordinates.
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
-    }
-}
-
-impl LinOp for LaplacianOp {
-    fn dim(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        for i in 0..self.nodes.len() {
-            let mut acc = self.degrees[i] * x[i];
-            for &j in &self.neighbors[self.offsets[i]..self.offsets[i + 1]] {
-                acc -= x[j];
-            }
-            y[i] = acc;
-        }
-    }
-}
-
 /// Algebraic connectivity λ₂ of `g` (0 for graphs with fewer than 2 nodes or
 /// disconnected graphs).
 ///
-/// Uses exact dense Jacobi below [`DENSE_CUTOFF`] nodes and deflated Lanczos
-/// above; values are clamped at 0 (tiny negative round-off is squashed).
+/// Uses exact dense Jacobi up to [`DENSE_CUTOFF`] nodes and thick-restart
+/// Lanczos above; values are clamped at 0 (tiny negative round-off is
+/// squashed).
 ///
 /// # Examples
 ///
@@ -218,13 +172,7 @@ pub fn algebraic_connectivity_csr(csr: &CsrView) -> f64 {
         let eig = jacobi_eigen(&m);
         return eig.values[1].max(0.0);
     }
-    let op = CsrLaplacian::new(csr);
-    let ones = vec![1.0; n];
-    let steps = 260.min(n - 1);
-    match lanczos_deflated(&op, &ones, steps, 0x5EED) {
-        Some(r) => r.ritz_values[0].max(0.0),
-        None => 0.0,
-    }
+    cold_solve(&CsrLaplacian::new(csr), &vec![1.0; n]).map_or(0.0, |p| p.value.max(0.0))
 }
 
 /// The Fiedler vector of `g` (eigenvector for λ₂) as `(node, value)` pairs.
@@ -252,17 +200,8 @@ pub fn fiedler_vector_csr(csr: &CsrView) -> Option<Vec<(NodeId, f64)>> {
                 .collect(),
         );
     }
-    let op = CsrLaplacian::new(csr);
-    let ones = vec![1.0; n];
-    let steps = 260.min(n - 1);
-    let r = lanczos_deflated(&op, &ones, steps, 0x5EED)?;
-    Some(
-        csr.nodes()
-            .iter()
-            .copied()
-            .zip(r.smallest_vector.iter().copied())
-            .collect(),
-    )
+    let pair = cold_solve(&CsrLaplacian::new(csr), &vec![1.0; n])?;
+    Some(csr.nodes().iter().copied().zip(pair.vector).collect())
 }
 
 /// Dense *normalized* Laplacian `I - D^{-1/2} A D^{-1/2}` of `g`.
@@ -325,12 +264,7 @@ pub fn normalized_algebraic_connectivity_csr(csr: &CsrView) -> f64 {
         return eig.values[1].max(0.0);
     }
     let op = CsrNormalizedLaplacian::new(csr);
-    let kernel = op.kernel();
-    let steps = 260.min(n - 1);
-    match lanczos_deflated(&op, &kernel, steps, 0x5EED) {
-        Some(r) => r.ritz_values[0].max(0.0),
-        None => 0.0,
-    }
+    cold_solve(&op, &op.kernel()).map_or(0.0, |p| p.value.max(0.0))
 }
 
 /// Full Laplacian spectrum (ascending) — dense path only.
@@ -400,19 +334,34 @@ mod tests {
     fn lanczos_path_agrees_with_jacobi() {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
-        // Build a graph above nothing — force both paths on the same graph.
+        // Below the cutoff, so the Krylov solve runs directly against Jacobi.
         let g = generators::random_regular(60, 4, &mut rng);
         let (_, m) = laplacian_dense(&g);
         let exact = jacobi_eigen(&m).values[1];
-        let op = LaplacianOp::new(&g);
-        let ones = vec![1.0; 60];
-        let r = lanczos_deflated(&op, &ones, 59, 1).unwrap();
+        let r = cold_solve(&CsrLaplacian::new(&g.csr_view()), &[1.0; 60]).unwrap();
         assert!(
-            (r.ritz_values[0] - exact).abs() < 1e-7,
-            "lanczos {} vs jacobi {}",
-            r.ritz_values[0],
-            exact
+            (r.value - exact).abs() < 1e-9,
+            "lanczos {} vs jacobi {exact}",
+            r.value
         );
+    }
+
+    #[test]
+    fn closed_forms_hold_above_the_cutoff() {
+        let p = algebraic_connectivity(&generators::path(400));
+        let expect = 2.0 * (1.0 - (PI / 400.0).cos());
+        assert!((p - expect).abs() < 1e-8, "P400: {p} vs {expect}");
+        // The normalized path Laplacian's λ₂ is 1 − cos(π/(n − 1)).
+        let pn = normalized_algebraic_connectivity(&generators::path(400));
+        let expect = 1.0 - (PI / 399.0).cos();
+        assert!(
+            (pn - expect).abs() < 1e-8,
+            "normalized P400: {pn} vs {expect}"
+        );
+        // A grid is a product of paths: λ₂ is the longer side's path value.
+        let gr = algebraic_connectivity(&generators::grid(30, 31));
+        let expect = 2.0 * (1.0 - (PI / 31.0).cos());
+        assert!((gr - expect).abs() < 1e-8, "grid(30, 31): {gr} vs {expect}");
     }
 
     #[test]
@@ -466,13 +415,11 @@ mod tests {
         let exact = jacobi_eigen(&m).values[1];
         let csr = g.csr_view();
         let op = CsrNormalizedLaplacian::new(&csr);
-        let kernel = op.kernel();
-        let r = lanczos_deflated(&op, &kernel, 79, 2).unwrap();
+        let r = cold_solve(&op, &op.kernel()).unwrap();
         assert!(
-            (r.ritz_values[0] - exact).abs() < 1e-7,
-            "lanczos {} vs dense {}",
-            r.ritz_values[0],
-            exact
+            (r.value - exact).abs() < 1e-9,
+            "lanczos {} vs dense {exact}",
+            r.value
         );
     }
 

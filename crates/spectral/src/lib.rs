@@ -7,12 +7,12 @@
 //!
 //! Two eigensolvers are implemented from scratch and cross-validated:
 //!
-//! - [`jacobi_eigen`]: dense cyclic Jacobi — exact, O(n³), used below
+//! - [`jacobi_eigen`]: dense cyclic Jacobi — exact, O(n³), used up to
 //!   [`DENSE_CUTOFF`] nodes and as ground truth in tests;
-//! - [`lanczos_deflated`]: matrix-free Lanczos with full reorthogonalization
-//!   and deflation of the Laplacian's all-ones kernel, used for larger
-//!   graphs; [`lanczos_thick_restart`] restarts it to a residual tolerance
-//!   from a warm start vector.
+//! - [`lanczos_thick_restart`]: matrix-free thick-restart Lanczos with full
+//!   reorthogonalization and deflation of the Laplacian's kernel, run to the
+//!   explicit residual [`RESIDUAL_TOL`]. It serves the cold solves above the
+//!   cutoff (from seeded noise) and the monitor's warm re-solves.
 //!
 //! # Examples
 //!
@@ -37,23 +37,17 @@ mod lanczos;
 mod laplacian;
 mod mixing;
 mod sweep;
-mod tridiag;
 
 pub use dense::SymMatrix;
 pub use jacobi::{jacobi_eigen, EigenDecomposition};
-pub use lanczos::{
-    lanczos_deflated, lanczos_multi_deflated, lanczos_thick_restart, Eigenpair, LanczosResult,
-    LinOp,
-};
+pub use lanczos::{lanczos_thick_restart, Eigenpair, LinOp, RESIDUAL_TOL};
 pub use laplacian::{
     algebraic_connectivity, algebraic_connectivity_csr, fiedler_vector, fiedler_vector_csr,
     laplacian_dense, laplacian_dense_csr, laplacian_spectrum, normalized_algebraic_connectivity,
     normalized_algebraic_connectivity_csr, normalized_laplacian_dense,
-    normalized_laplacian_dense_csr, CsrLaplacian, CsrNormalizedLaplacian, LaplacianOp,
-    DENSE_CUTOFF,
+    normalized_laplacian_dense_csr, CsrLaplacian, CsrNormalizedLaplacian, DENSE_CUTOFF,
 };
 pub use mixing::{
     mixing_time, mixing_time_csr, mixing_time_from, mixing_time_from_csr, DEFAULT_TV_THRESHOLD,
 };
 pub use sweep::{sweep_cut, sweep_cut_by, sweep_cut_csr, SweepCut};
-pub use tridiag::{tridiagonal_eigenvalues, tridiagonal_eigenvector};
