@@ -111,15 +111,10 @@ struct Coordination {
     done: bool,
 }
 
-/// Per-node protocol state: the repairs this node currently coordinates,
-/// plus the pre-repair free-status snapshot it reports in Grants.
+/// Per-node protocol state: the repairs this node currently coordinates.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RepairActor {
     coordinating: FxHashMap<u64, Coordination>,
-    /// What `Grant { free }` must answer, per repair: the node's bridge-duty
-    /// status *before* the repair's decisions were made (snapshotted at
-    /// kickoff — locally known state in a deployment).
-    grant_free: FxHashMap<u64, bool>,
 }
 
 /// The simulation harness hosting the actors over a [`NetworkEngine`].
@@ -201,9 +196,11 @@ impl<N: NetworkEngine<Msg>> ActorRuntime<N> {
                     .coordinator = s;
                 // The successor's own pending contributions are local now.
                 coordination.pending_grants.remove(&s);
-                let actor = self.actors.entry(s).or_default();
-                actor.grant_free.remove(&repair);
-                actor.coordinating.insert(repair, coordination);
+                self.actors
+                    .entry(s)
+                    .or_default()
+                    .coordinating
+                    .insert(repair, coordination);
                 self.advance(repair);
             }
         }
@@ -213,18 +210,15 @@ impl<N: NetworkEngine<Msg>> ActorRuntime<N> {
     /// coordinator's probe wave is staged immediately; repairs with no live
     /// participants complete on the spot with zero cost.
     ///
-    /// `dead` are the announced victims (sorted); `free_before` is the
-    /// sorted pre-repair free-node snapshot each participant's Grant must
-    /// report.
+    /// `dead` are the announced victims (sorted).
     pub(crate) fn begin_repair(
         &mut self,
         repair: u64,
         actions: &[PlanAction],
         dead: &[NodeId],
-        free_before: &[NodeId],
         meta: CostMeta,
     ) {
-        debug_assert!(dead.is_sorted() && free_before.is_sorted());
+        debug_assert!(dead.is_sorted());
         let participant_set: BTreeSet<NodeId> = actions
             .iter()
             .flat_map(PlanAction::participants)
@@ -279,19 +273,8 @@ impl<N: NetworkEngine<Msg>> ActorRuntime<N> {
             }
         }
 
-        let mut pending_grants: BTreeSet<NodeId> = BTreeSet::new();
-        for &p in &participants {
-            if p == coordinator {
-                continue;
-            }
-            let free = free_before.binary_search(&p).is_ok();
-            self.actors
-                .entry(p)
-                .or_default()
-                .grant_free
-                .insert(repair, free);
-            pending_grants.insert(p);
-        }
+        // Everyone but the coordinator, whose own state is local.
+        let pending_grants: BTreeSet<NodeId> = participants[1..].iter().copied().collect();
         let tracks = vec![
             TrackState {
                 next_wave: 0,
@@ -405,17 +388,8 @@ impl<N: NetworkEngine<Msg>> ActorRuntime<N> {
         st.in_flight -= 1;
         st.delivered += 1;
         match env.payload {
-            Msg::Probe { repair } => {
-                let free = self
-                    .actors
-                    .entry(env.to)
-                    .or_default()
-                    .grant_free
-                    .remove(&repair)
-                    .unwrap_or(true);
-                self.post(env.to, env.from, Msg::Grant { repair, free });
-            }
-            Msg::Grant { repair, .. } => self.grant_received(repair, env.from),
+            Msg::Probe { repair } => self.post(env.to, env.from, Msg::Grant { repair }),
+            Msg::Grant { repair } => self.grant_received(repair, env.from),
             // Edge instructions are local installs at the endpoint; the
             // executor applies the identical plan deltas to the graph.
             Msg::Link { .. } | Msg::Unlink { .. } => {}
@@ -652,11 +626,6 @@ impl<N: NetworkEngine<Msg>> ActorRuntime<N> {
         };
         if let Some(actor) = self.actors.get_mut(&st.coordinator) {
             actor.coordinating.remove(&repair);
-        }
-        for &p in &st.script.participants {
-            if let Some(actor) = self.actors.get_mut(&p) {
-                actor.grant_free.remove(&repair);
-            }
         }
         let meta = st.script.meta;
         self.completed.push(RepairCost {

@@ -13,7 +13,7 @@
 //!
 //! 1. **Probe** — the coordinator (the least-id live participant of the
 //!    repair plan) contacts every participant;
-//! 2. **Grant** — participants return their local cloud state;
+//! 2. **Grant** — participants answer the probe;
 //! 3. **Link** — the coordinator disseminates edge install/strip
 //!    instructions to both endpoints of every planned edge;
 //! 4. **Splice** — cloud construction finishes with ⌈log₂ m⌉ acknowledged
@@ -108,8 +108,6 @@ pub struct DistXheal<N: NetworkEngine<Msg> = AsyncNetwork<Msg>> {
     sinks: SinkRegistry,
     /// Reusable incident-edge buffer for the deletion hot loop.
     scratch_incident: Vec<(NodeId, EdgeLabels)>,
-    /// Reusable sorted buffer holding the pre-repair free-node snapshot.
-    scratch_free: Vec<NodeId>,
     /// Reusable grouped-application buffers for plan flushes.
     scratch_apply: ApplyScratch,
     /// Optional span recorder shared with the planner; `None` keeps every
@@ -172,7 +170,6 @@ impl<N: NetworkEngine<Msg>> DistXheal<N> {
             repair_seq: 0,
             sinks: SinkRegistry::default(),
             scratch_incident: Vec::new(),
-            scratch_free: Vec::new(),
             scratch_apply: ApplyScratch::default(),
             tracer: None,
         }
@@ -347,7 +344,6 @@ impl<N: NetworkEngine<Msg>> DistXheal<N> {
                 self.sinks.emit(TopologyDelta::NodeRemoved(bv.node));
             }
         }
-        let mut free_before = self.take_free_snapshot();
         let plan = self.planner.plan_batch_deletion(&ctx);
         plan.apply_streamed_with(&mut self.graph, &mut self.sinks, &mut self.scratch_apply);
         let dead: Vec<NodeId> = ctx.iter().map(|bv| bv.node).collect();
@@ -375,7 +371,6 @@ impl<N: NetworkEngine<Msg>> DistXheal<N> {
                 self.repair_seq,
                 &stage.actions,
                 &dead,
-                &free_before,
                 CostMeta {
                     case: HealCase::Batch,
                     black_degree,
@@ -384,8 +379,6 @@ impl<N: NetworkEngine<Msg>> DistXheal<N> {
                 },
             );
         }
-        free_before.clear();
-        self.scratch_free = free_before;
         self.run_protocol();
         self.collect_costs();
         Ok(plan.report)
@@ -439,11 +432,6 @@ impl<N: NetworkEngine<Msg>> DistXheal<N> {
         if !self.sinks.is_empty() {
             self.sinks.emit(TopologyDelta::NodeRemoved(v));
         }
-
-        // Pre-repair bridge-duty snapshot: the grant messages must carry
-        // the state the decisions were *made* from, and plan_deletion
-        // advances the planner past it.
-        let mut free_before = self.take_free_snapshot();
         let plan = self.planner.plan_deletion(v, &incident, degree);
         plan.apply_streamed_with(&mut self.graph, &mut self.sinks, &mut self.scratch_apply);
         self.repair_seq += 1;
@@ -458,7 +446,6 @@ impl<N: NetworkEngine<Msg>> DistXheal<N> {
             self.repair_seq,
             &plan.actions,
             &[v],
-            &free_before,
             CostMeta {
                 case: plan.case(),
                 black_degree: plan.report.black_degree,
@@ -468,23 +455,7 @@ impl<N: NetworkEngine<Msg>> DistXheal<N> {
         );
         incident.clear();
         self.scratch_incident = incident;
-        free_before.clear();
-        self.scratch_free = free_before;
         Ok(plan.report)
-    }
-
-    /// The sorted free-node snapshot (nodes with no secondary duty), into
-    /// the reusable scratch buffer. `nodes()` is ascending, so the buffer
-    /// supports binary-search membership tests.
-    fn take_free_snapshot(&mut self) -> Vec<NodeId> {
-        let mut free = std::mem::take(&mut self.scratch_free);
-        free.clear();
-        free.extend(
-            self.graph
-                .nodes()
-                .filter(|&u| self.planner.node_state(u).is_none_or(|st| st.is_free())),
-        );
-        free
     }
 
     /// Runs every active repair protocol to completion, recording one

@@ -28,13 +28,11 @@ pub enum Msg {
         /// Sequence number of the repair.
         repair: u64,
     },
-    /// Participant → coordinator: local membership state (whether the node
-    /// is free for bridge duty — the decision input of MakeSecondary).
+    /// Participant → coordinator: the answer to a probe. It carries no
+    /// state, because every participant already holds the plan.
     Grant {
         /// Sequence number of the repair.
         repair: u64,
-        /// True when the sender has no secondary-cloud duty.
-        free: bool,
     },
     /// Coordinator → edge endpoint: install a colored cloud edge to `other`.
     Link {

@@ -20,11 +20,17 @@
 //! Algorithms that sweep whole neighborhoods (BFS, Laplacians, cut
 //! enumeration) should grab a [`Graph::csr_view`] snapshot once and work in
 //! dense `0..n` coordinates instead of re-deriving a node index per call.
+//! The graph keeps the last snapshot it built, and every edit that changes
+//! a neighbor set stamps the slots it touched with a rising structural
+//! version. The next snapshot copies each unchanged row from the kept one
+//! and reads the arena only for the stamped rows, so a repair's local
+//! change costs a local number of arena reads.
 
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::{CloudColor, EdgeLabels, NodeId};
 
@@ -382,6 +388,42 @@ fn advise_huge_pages<T>(buf: *const T, capacity: usize) {
     }
 }
 
+/// Asks the CPU to start loading every cache line of `len` elements at
+/// `ptr` (`_mm_prefetch` with the T0 hint), without waiting for them.
+///
+/// A deletion rewrites the neighbor list of every neighbor of the victim,
+/// and those lists sit at random places in the arena. Issued up front for
+/// the whole neighborhood, their cache misses overlap instead of each
+/// search waiting on its own. A no-op off x86_64.
+#[allow(unsafe_code)]
+#[inline]
+fn prefetch<T>(ptr: *const T, len: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let start = ptr.cast::<i8>();
+        let bytes = len * std::mem::size_of::<T>();
+        let mut off = 0;
+        while off < bytes {
+            // SAFETY: a prefetch is a hint that never faults, even on an
+            // unmapped address, and neither reads nor writes program-visible
+            // memory; `wrapping_add` keeps the address computation itself
+            // free of any in-bounds requirement.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(start.wrapping_add(off)) };
+            off += 64;
+        }
+        if bytes > 0 {
+            // SAFETY: as above; the last byte's line, which the 64-byte
+            // stride misses when `ptr` is not line-aligned.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(start.wrapping_add(bytes - 1)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (ptr, len);
+    }
+}
+
 /// Arena slot: a (possibly recycled) node record.
 #[derive(Clone, Debug, Default)]
 struct Slot {
@@ -390,6 +432,28 @@ struct Slot {
     black_degree: u32,
     /// Sorted ascending by neighbor `NodeId`; first entries inline.
     nbrs: NbrList,
+}
+
+/// Structural versions: what [`Graph::csr_view`] reads to tell which rows of
+/// its cached snapshot still hold.
+///
+/// `version` rises on every edit that changes a neighbor *set*: a node
+/// added or removed, an edge created or dropped. `of[s]` is the version at
+/// which slot `s`'s neighbor set last changed. Label-only edits touch
+/// neither, because the CSR does not see labels.
+#[derive(Clone, Debug, Default)]
+struct Stamps {
+    version: u64,
+    of: Vec<u64>,
+}
+
+impl Stamps {
+    /// Records a change to slot `s`'s neighbor set.
+    #[inline]
+    fn touch(&mut self, s: usize) {
+        self.version += 1;
+        self.of[s] = self.version;
+    }
 }
 
 /// An undirected simple graph with labeled edges and deterministic iteration,
@@ -419,6 +483,11 @@ pub struct Graph {
     slots: Vec<Slot>,
     free: Vec<u32>,
     edge_count: usize,
+    /// When each slot's neighbor set last changed.
+    stamps: Stamps,
+    /// The last snapshot [`Graph::csr_view`] built, with the structural
+    /// version it was built at. A clone starts without one.
+    snapshot: Mutex<Option<(u64, CsrView)>>,
 }
 
 impl Clone for Graph {
@@ -445,6 +514,8 @@ impl Clone for Graph {
             slots,
             free: self.free.clone(),
             edge_count: self.edge_count,
+            stamps: self.stamps.clone(),
+            snapshot: Mutex::default(),
         }
     }
 }
@@ -514,6 +585,7 @@ impl Graph {
         let mut g = Graph::default();
         g.slots.reserve_exact(n);
         advise_huge_pages(g.slots.as_ptr(), g.slots.capacity());
+        g.stamps.of.reserve_exact(n);
         // Mirror `SlotIndex::insert`'s growth schedule so population never
         // reallocates away from the advised buffer.
         let dense_len = n.next_power_of_two().max(64).min(DENSE_ID_LIMIT as usize);
@@ -681,9 +753,13 @@ impl Graph {
                     black_degree: 0,
                     nbrs: NbrList::default(),
                 });
+                self.stamps.of.push(0);
                 s
             }
         };
+        // A recycled slot, or a re-added id, must not pass for the row a
+        // cached snapshot holds.
+        self.stamps.touch(slot as usize);
         self.index.insert(v, slot);
         self.ordered.insert(v);
         Ok(())
@@ -725,12 +801,23 @@ impl Graph {
         };
         let sv = sv as usize;
         let mut nbrs = std::mem::take(&mut self.slots[sv].nbrs);
+        // Every neighbor's record, then every neighbor's spilled list: the
+        // second pass reads the `tail` pointers the first one fetched.
+        for nbr in nbrs.iter() {
+            prefetch(&self.slots[nbr.slot as usize], 1);
+        }
+        for nbr in nbrs.iter() {
+            let tail = &self.slots[nbr.slot as usize].nbrs.tail;
+            prefetch(tail.as_ptr(), tail.len());
+        }
         out.reserve(nbrs.len());
-        let (slots, edge_count) = (&mut self.slots, &mut self.edge_count);
+        let (slots, stamps, edge_count) = (&mut self.slots, &mut self.stamps, &mut self.edge_count);
+        stamps.touch(sv);
         nbrs.drain_for_each(|nbr| {
             let su = nbr.slot as usize;
             let pu = slots[su].nbrs.search(v).expect("mirror entry");
             slots[su].nbrs.remove(pu);
+            stamps.touch(su);
             if nbr.labels.is_black() {
                 slots[su].black_degree -= 1;
             }
@@ -784,6 +871,7 @@ impl Graph {
                         labels: labels.clone(),
                     },
                 );
+                self.stamps.touch(su as usize);
                 true
             }
         }
@@ -856,6 +944,8 @@ impl Graph {
         if empty {
             self.slots[su].nbrs.remove(pu);
             self.slots[sv].nbrs.remove(pv);
+            self.stamps.touch(su);
+            self.stamps.touch(sv);
             self.edge_count -= 1;
         } else {
             strip(&mut self.slots[sv].nbrs.get_mut(pv).labels);
@@ -897,6 +987,8 @@ impl Graph {
         let sv = nbr.slot as usize;
         let pv = Self::find_nbr(&self.slots[sv], u).expect("mirror entry");
         self.slots[sv].nbrs.remove(pv);
+        self.stamps.touch(su);
+        self.stamps.touch(sv);
         if nbr.labels.is_black() {
             self.slots[su].black_degree -= 1;
             self.slots[sv].black_degree -= 1;
@@ -932,11 +1024,26 @@ impl Graph {
             .sum()
     }
 
-    /// Builds a dense CSR snapshot of the current topology: nodes in
+    /// A dense CSR snapshot of the current topology: nodes in
     /// ascending-`NodeId` order re-numbered `0..n`, neighbor lists as dense
-    /// indices. One pass, O(n + m) plus one word per arena slot — no
-    /// per-neighbor searches — shared by the Laplacian operators, BFS,
-    /// components, and cut enumeration.
+    /// indices, shared by the Laplacian operators, BFS, components, cut
+    /// enumeration and routing.
+    ///
+    /// The graph keeps the last snapshot it built. With no neighbor set
+    /// changed since, this returns that snapshot again, which costs a
+    /// reference-count increment: two views of one graph state share their
+    /// storage. Otherwise it builds a new one in one pass over the live
+    /// nodes. A row whose node the kept snapshot holds, and whose neighbor
+    /// set has not changed since, is copied from it with each entry
+    /// renumbered; only the other rows (the nodes and neighbors an edit
+    /// touched) are read from the arena. The cost is O(n + m) for the copy
+    /// plus one word per arena slot, and a repair's arena reads scale with
+    /// what it changed. A graph without a kept snapshot (new, or a clone)
+    /// runs the same loop and copies no row. Every snapshot equals a full
+    /// build. The kept snapshot holds the memory of one live view (8n bytes
+    /// of ids, 4(n + 1) of offsets, 8m of neighbors and, with a table, 4
+    /// per covered id) until the next rebuild or the graph's drop, and the
+    /// stamps add 8 bytes per arena slot.
     ///
     /// While the ids are dense (the largest live id below `DENSE_ID_LIMIT`
     /// is under `2n + 64`), the view also carries an id → dense-index table
@@ -944,9 +1051,29 @@ impl Graph {
     /// climbed past that bound under churn get no table, which keeps the
     /// snapshot's cost independent of the largest id ever allocated.
     pub fn csr_view(&self) -> CsrView {
+        // The guarded value is replaced whole, after a build completes, so
+        // a panic mid-build leaves the last complete snapshot in place.
+        let mut kept = self.snapshot.lock().unwrap_or_else(PoisonError::into_inner);
+        let version = self.stamps.version;
+        let view = match kept.as_ref() {
+            Some((built, view)) if *built == version => return view.clone(),
+            Some((built, view)) => self.build_csr(*built, &view.arrays),
+            None => self.build_csr(0, &CsrArrays::default()),
+        };
+        *kept = Some((version, view.clone()));
+        view
+    }
+
+    /// Builds the snapshot [`Graph::csr_view`] describes, copying from
+    /// `old`, built at structural version `built`, every row it can.
+    fn build_csr(&self, built: u64, old: &CsrArrays) -> CsrView {
         let n = self.ordered.len();
         let mut nodes = Vec::with_capacity(n);
-        let mut slots = Vec::with_capacity(n);
+        // Per new row: its arena slot, and the old row to copy or `ABSENT`.
+        let mut rows: Vec<(u32, u32)> = Vec::with_capacity(n);
+        // Old dense index → new one (`ABSENT` once removed). Both spines
+        // ascend, so the map is monotone and copied rows stay sorted.
+        let mut renumber = vec![ABSENT; old.nodes.len()];
         let mut slot_to_dense = vec![ABSENT; self.slots.len()];
         let table_len = self
             .ordered
@@ -958,10 +1085,21 @@ impl Graph {
         } else {
             Vec::new()
         };
+        let mut j = 0;
         for (i, &v) in self.ordered.iter().enumerate() {
             let slot = self.index.get(v).expect("ordered node interned");
+            while old.nodes.get(j).is_some_and(|&w| w < v) {
+                j += 1;
+            }
+            let mut from = ABSENT;
+            if old.nodes.get(j) == Some(&v) {
+                renumber[j] = i as u32;
+                if self.stamps.of[slot as usize] <= built {
+                    from = j as u32;
+                }
+            }
             nodes.push(v);
-            slots.push(slot);
+            rows.push((slot, from));
             slot_to_dense[slot as usize] = i as u32;
             if let Some(entry) = id_to_dense.get_mut(v.as_u64() as usize) {
                 *entry = i as u32;
@@ -970,16 +1108,28 @@ impl Graph {
         let mut offsets = Vec::with_capacity(n + 1);
         let mut neighbors = Vec::with_capacity(2 * self.edge_count);
         offsets.push(0u32);
-        for &slot in &slots {
-            let s = &self.slots[slot as usize];
-            neighbors.extend(s.nbrs.iter().map(|nb| slot_to_dense[nb.slot as usize]));
+        for &(slot, from) in &rows {
+            if from == ABSENT {
+                let s = &self.slots[slot as usize];
+                neighbors.extend(s.nbrs.iter().map(|nb| slot_to_dense[nb.slot as usize]));
+            } else {
+                let row = &old.neighbors
+                    [old.offsets[from as usize] as usize..old.offsets[from as usize + 1] as usize];
+                neighbors.extend(row.iter().map(|&k| renumber[k as usize]));
+            }
             offsets.push(neighbors.len() as u32);
         }
+        debug_assert!(
+            !neighbors.contains(&ABSENT),
+            "a copied row kept a removed node"
+        );
         CsrView {
-            nodes,
-            offsets,
-            neighbors,
-            id_to_dense,
+            arrays: Arc::new(CsrArrays {
+                nodes,
+                offsets,
+                neighbors,
+                id_to_dense,
+            }),
         }
     }
 
@@ -1169,6 +1319,7 @@ impl Graph {
                     (slot.black_degree as i64 + now_black as i64 - was_black as i64) as u32;
                 if gone {
                     slot.nbrs.remove(p);
+                    self.stamps.touch(slot_ix as usize);
                 }
                 if owner < other {
                     !gone as isize - 1
@@ -1193,6 +1344,7 @@ impl Graph {
                         labels,
                     },
                 );
+                self.stamps.touch(slot_ix as usize);
                 (owner < other) as isize
             }
         }
@@ -1264,7 +1416,8 @@ impl EdgeMutation {
 ///
 /// Node `i` (for `i` in `0..len()`) is `nodes()[i]`, the `i`-th live node in
 /// ascending `NodeId` order; `neighbors_of(i)` yields dense indices, sorted
-/// ascending. The snapshot does not track later mutations.
+/// ascending. The snapshot does not track later mutations. Cloning one
+/// shares its storage.
 ///
 /// # Examples
 ///
@@ -1277,6 +1430,13 @@ impl EdgeMutation {
 /// ```
 #[derive(Clone, Debug)]
 pub struct CsrView {
+    arrays: Arc<CsrArrays>,
+}
+
+/// The arrays behind a [`CsrView`], shared by its clones and by the graph
+/// that keeps it.
+#[derive(Debug, Default)]
+struct CsrArrays {
     nodes: Vec<NodeId>,
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
@@ -1290,22 +1450,22 @@ pub struct CsrView {
 impl CsrView {
     /// Number of nodes in the snapshot.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.arrays.nodes.len()
     }
 
     /// True when the snapshot has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.arrays.nodes.is_empty()
     }
 
     /// The node ids backing dense coordinates, ascending.
     pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
+        &self.arrays.nodes
     }
 
     /// The node id at dense index `i`.
     pub fn node(&self, i: usize) -> NodeId {
-        self.nodes[i]
+        self.arrays.nodes[i]
     }
 
     /// Dense index of `v`, if present: one read of the id table for ids it
@@ -1315,39 +1475,39 @@ impl CsrView {
     #[inline]
     pub fn index_of(&self, v: NodeId) -> Option<usize> {
         let id = v.as_u64();
-        if id < self.id_to_dense.len() as u64 {
-            let i = self.id_to_dense[id as usize];
+        if id < self.arrays.id_to_dense.len() as u64 {
+            let i = self.arrays.id_to_dense[id as usize];
             (i != ABSENT).then_some(i as usize)
         } else {
-            self.nodes.binary_search(&v).ok()
+            self.arrays.nodes.binary_search(&v).ok()
         }
     }
 
     /// Dense neighbor indices of dense node `i`, ascending.
     pub fn neighbors_of(&self, i: usize) -> &[u32] {
-        &self.neighbors[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        &self.arrays.neighbors[self.arrays.offsets[i] as usize..self.arrays.offsets[i + 1] as usize]
     }
 
     /// Degree of dense node `i`.
     pub fn degree_of(&self, i: usize) -> usize {
-        (self.offsets[i + 1] - self.offsets[i]) as usize
+        (self.arrays.offsets[i + 1] - self.arrays.offsets[i]) as usize
     }
 
     /// The raw offset array (`len() + 1` entries, first 0, last
     /// `neighbors_flat().len()`), for matrix-free operators borrowing the
     /// CSR arrays directly.
     pub fn offsets(&self) -> &[u32] {
-        &self.offsets
+        &self.arrays.offsets
     }
 
     /// The raw flattened neighbor array (`2 × edge count` dense indices).
     pub fn neighbors_flat(&self) -> &[u32] {
-        &self.neighbors
+        &self.arrays.neighbors
     }
 
     /// Number of undirected edges in the snapshot.
     pub fn edge_count(&self) -> usize {
-        self.neighbors.len() / 2
+        self.arrays.neighbors.len() / 2
     }
 }
 
@@ -1839,7 +1999,11 @@ mod tests {
             g.add_black_edge(n(new), n(2)).unwrap();
         }
         let csr = g.csr_view();
-        assert_eq!(csr.id_to_dense.len(), 41, "a table to the largest dense id");
+        assert_eq!(
+            csr.arrays.id_to_dense.len(),
+            41,
+            "a table to the largest dense id"
+        );
         let search = |csr: &CsrView, v: NodeId| csr.nodes().binary_search(&v).ok();
         for (i, &v) in csr.nodes().iter().enumerate() {
             assert_eq!(csr.index_of(v), Some(i), "live {v}");
@@ -1878,7 +2042,7 @@ mod tests {
             g.add_node(v).unwrap();
             g.add_black_edge(v, *live.back().unwrap()).unwrap();
             live.push_back(v);
-            sizes.push(g.csr_view().id_to_dense.len());
+            sizes.push(g.csr_view().arrays.id_to_dense.len());
         }
         // Tables while the largest id is below 2n + 64 = 96, none after.
         assert_eq!(sizes[..80], (17..97).collect::<Vec<_>>()[..]);

@@ -25,4 +25,4 @@ mod gprime;
 mod report;
 
 pub use gprime::GPrime;
-pub use report::{degree_increase, expansion_estimate, expansion_report, stretch, ExpansionReport};
+pub use report::{degree_increase, expansion_report, stretch, ExpansionReport};

@@ -113,13 +113,6 @@ pub fn expansion_report(g: &Graph) -> ExpansionReport {
     }
 }
 
-/// Best available estimate of `h(G)`: exact when present, else the sweep-cut
-/// upper bound (a constructive cut, hence a true upper bound on `h`).
-pub fn expansion_estimate(g: &Graph) -> Option<f64> {
-    let r = expansion_report(g);
-    r.exact_h.or(r.sweep_h)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,7 +252,6 @@ mod tests {
         assert_eq!((r.lambda, r.lambda_norm, r.h_lower), (0.0, 0.0, 0.0));
         assert_eq!(r.sweep_phi, None);
         assert_eq!(r.sweep_h, None);
-        assert_eq!(expansion_estimate(&g), None);
     }
 
     #[test]
@@ -271,7 +263,6 @@ mod tests {
         assert_eq!((r.lambda, r.lambda_norm), (0.0, 0.0));
         assert_eq!(r.sweep_h, None);
         assert_eq!(r.h_lower, 0.0);
-        assert_eq!(expansion_estimate(&g), None);
     }
 
     #[test]
@@ -284,7 +275,6 @@ mod tests {
         assert!(r.lambda < 1e-10);
         assert!(r.lambda_norm < 1e-10);
         assert!(r.h_lower.abs() < 1e-10, "dmin = 0 kills the lower bound");
-        assert_eq!(expansion_estimate(&g), Some(0.0));
 
         // Two separate components (no isolated node): still 0 expansion.
         let mut two = generators::complete(4);
@@ -295,7 +285,6 @@ mod tests {
         let r2 = expansion_report(&two);
         assert_eq!(r2.exact_h, Some(0.0));
         assert!(r2.lambda < 1e-10);
-        assert_eq!(expansion_estimate(&two), Some(0.0));
     }
 
     #[test]
@@ -306,18 +295,5 @@ mod tests {
         assert!((r.lambda - 8.0).abs() < 1e-8);
         assert!(r.sweep_h.unwrap() >= r.exact_h.unwrap() - 1e-9);
         assert!(r.h_lower <= r.exact_h.unwrap() + 1e-9);
-    }
-
-    #[test]
-    fn expansion_estimate_prefers_exact() {
-        let g = generators::path(10);
-        let est = expansion_estimate(&g).unwrap();
-        assert!((est - 0.2).abs() < 1e-12);
-        // Large graph: estimate falls back to the sweep bound.
-        let big = generators::cycle(64);
-        let est_big = expansion_estimate(&big).unwrap();
-        // Cycle expansion is 2/(n/2) = 1/16.
-        assert!(est_big >= 1.0 / 16.0 - 1e-9);
-        assert!(est_big <= 0.25);
     }
 }

@@ -20,6 +20,9 @@
 //! Nested scopes (calling [`WorkerPool::scope`] from inside a job) are not
 //! supported and can deadlock; fan out from one coordinating thread only.
 
+// `deny` rather than `forbid`: the one sanctioned exception is the
+// lifetime-erasing `transmute` in `Scope::spawn` (see its safety comment).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::any::Any;
@@ -193,6 +196,7 @@ impl<'env> Scope<'_, 'env> {
         // `WorkerPool::scope` blocks (even on unwind) until `pending` hits
         // zero, so the job — and every `'env` borrow it captures — is gone
         // before the scope frame is.
+        #[allow(unsafe_code)]
         let wrapped: Job = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(
                 wrapped,

@@ -267,20 +267,6 @@ pub fn normalized_algebraic_connectivity_csr(csr: &CsrView) -> f64 {
     cold_solve(&op, &op.kernel()).map_or(0.0, |p| p.value.max(0.0))
 }
 
-/// Full Laplacian spectrum (ascending) — dense path only.
-///
-/// # Panics
-///
-/// Panics if the graph has more than [`DENSE_CUTOFF`] nodes.
-pub fn laplacian_spectrum(g: &Graph) -> Vec<f64> {
-    assert!(
-        g.node_count() <= DENSE_CUTOFF,
-        "full spectrum restricted to dense-size graphs"
-    );
-    let (_, m) = laplacian_dense(g);
-    jacobi_eigen(&m).values
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,15 +407,5 @@ mod tests {
             "lanczos {} vs dense {exact}",
             r.value
         );
-    }
-
-    #[test]
-    fn spectrum_of_k4() {
-        let g = generators::complete(4);
-        let s = laplacian_spectrum(&g);
-        let expect = [0.0, 4.0, 4.0, 4.0];
-        for (a, b) in s.iter().zip(expect) {
-            assert!((a - b).abs() < 1e-9);
-        }
     }
 }

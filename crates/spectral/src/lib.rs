@@ -43,7 +43,7 @@ pub use jacobi::{jacobi_eigen, EigenDecomposition};
 pub use lanczos::{lanczos_thick_restart, Eigenpair, LinOp, RESIDUAL_TOL};
 pub use laplacian::{
     algebraic_connectivity, algebraic_connectivity_csr, fiedler_vector, fiedler_vector_csr,
-    laplacian_dense, laplacian_dense_csr, laplacian_spectrum, normalized_algebraic_connectivity,
+    laplacian_dense, laplacian_dense_csr, normalized_algebraic_connectivity,
     normalized_algebraic_connectivity_csr, normalized_laplacian_dense,
     normalized_laplacian_dense_csr, CsrLaplacian, CsrNormalizedLaplacian, DENSE_CUTOFF,
 };
