@@ -45,8 +45,8 @@ impl Cloud {
         &mut self.expander
     }
 
-    /// Members of the cloud.
-    pub fn members(&self) -> &BTreeSet<NodeId> {
+    /// Members of the cloud, ascending.
+    pub fn members(&self) -> &[NodeId] {
         self.expander.members()
     }
 

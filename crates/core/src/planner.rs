@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 
-use xheal_expander::{EdgeDelta, EdgePair, MaintainedExpander};
+use xheal_expander::{EdgeDelta, MaintainedExpander};
 use xheal_graph::{CloudColor, CloudKind, EdgeLabels, FxHashMap, NodeId};
 use xheal_pool::WorkerPool;
 use xheal_trace::{hook, Layer, SharedTracer};
@@ -932,19 +932,20 @@ fn case_code(case: HealCase) -> u64 {
 /// Detaches several (already graph-removed) victims from one cloud, applying
 /// only the *net* edge delta — intermediate expander rebuilds may transiently
 /// reference other still-registered victims, but the final edge set only
-/// spans live members. Pure in the cloud + RNG, so the parallel prologue can
-/// run it shared-nothing.
+/// spans live members. Each removal's delta folds into the net one, so the
+/// cost follows what the removals change, not the cloud's size. Pure in the
+/// cloud + RNG, so the parallel prologue can run it shared-nothing.
 fn detach_cloud(
     color: CloudColor,
     cloud: &mut Cloud,
     victims: &[NodeId],
     rng: &mut StdRng,
 ) -> (Option<PlanAction>, bool) {
-    let before: Vec<EdgePair> = cloud.expander().edges().iter().copied().collect();
+    let mut delta = EdgeDelta::default();
     let mut detached = Vec::new();
     for &v in victims {
         if cloud.expander().contains(v) {
-            let _ = cloud.expander_mut().remove(v, rng);
+            delta.then(cloud.expander_mut().remove(v, rng));
             cloud.free_members_mut().remove(&v);
             detached.push(v);
         }
@@ -952,10 +953,6 @@ fn detach_cloud(
     if detached.is_empty() {
         return (None, cloud.is_empty());
     }
-    // Both snapshots are sorted, so the net delta is one merge walk (same
-    // ascending order the former set-difference produced).
-    let after: Vec<EdgePair> = cloud.expander().edges().iter().copied().collect();
-    let delta = EdgeDelta::between(&before, &after);
     (
         Some(PlanAction::PatchCloud {
             color,

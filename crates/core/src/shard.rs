@@ -251,12 +251,11 @@ pub(crate) fn delete_cloud<S: PlanStore>(store: &mut S, color: CloudColor) {
             store.attach_dec(p, color);
         }
     }
-    let edges: Vec<(NodeId, NodeId)> = cloud.expander().edges().iter().copied().collect();
     store.emit(PlanAction::DissolveCloud {
         color,
         delta: EdgeDelta {
             added: Vec::new(),
-            removed: edges,
+            removed: cloud.expander().edges(),
         },
     });
     for &m in cloud.members() {
@@ -507,7 +506,7 @@ pub(crate) fn combine<S: PlanStore>(
     // Rebuild: delete the old primary clouds and build the union fresh.
     let mut members: Vec<NodeId> = {
         let kept = store.cloud_ref(target).expect("target is live");
-        kept.members().iter().copied().collect()
+        kept.members().to_vec()
     };
     members.extend(absorb);
     members.sort_unstable();

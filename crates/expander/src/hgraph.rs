@@ -8,7 +8,6 @@
 //! (Friedman / Law–Siu) shows a random H-graph is an expander with high
 //! probability.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use rand::seq::SliceRandom;
@@ -124,7 +123,10 @@ impl Cycle {
 /// The *projected simple edge set* ([`HGraph::simple_edges`]) is what gets
 /// installed into the network graph — the paper notes that multi-edges are
 /// simply not duplicated ("similar high probabilistic guarantees hold in case
-/// we make the multi-edges simple").
+/// we make the multi-edges simple"). It is not stored: the cycles are the
+/// one copy of the topology, a splice reports its change to the projection
+/// as sorted `(added, removed)` lists, and [`HGraph::simple_edges`]
+/// recomputes the whole projection on demand.
 ///
 /// The members are kept as one ascending list. A splice draws its position
 /// by index into that list, so a draw costs O(1) and the random stream is a
@@ -230,7 +232,8 @@ impl HGraph {
     /// shift of the member list: each cycle contributes at most two new
     /// incident edges and one broken edge, and broken candidates are
     /// membership-checked against the other cycles — no full projection
-    /// rebuild. Consumes exactly the same randomness as [`HGraph::insert`].
+    /// rebuild. The at most 3d candidate pairs are sorted and deduplicated
+    /// in place. Consumes exactly the same randomness as [`HGraph::insert`].
     ///
     /// # Panics
     ///
@@ -239,26 +242,27 @@ impl HGraph {
         let Err(at) = self.members.binary_search(&u) else {
             panic!("{u} already a member");
         };
-        let mut added: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-        let mut broken: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+        let mut added = Vec::with_capacity(2 * self.d);
+        let mut broken = Vec::with_capacity(self.d);
         for cycle in &mut self.cycles {
             let v = self.members[rng.random_range(0..self.members.len())];
             let w = cycle.next[&v];
             cycle.insert_after(v, u);
-            added.insert(norm(v, u));
+            added.push(norm(v, u));
             if v != w {
-                added.insert(norm(u, w));
-                broken.insert(norm(v, w));
+                added.push(norm(u, w));
+                broken.push(norm(v, w));
             }
         }
         self.members.insert(at, u);
+        added.sort_unstable();
+        added.dedup();
+        broken.sort_unstable();
+        broken.dedup();
         // A broken (v, w) leaves the projection only if no cycle still walks
         // it after all splices.
-        let removed: Vec<(NodeId, NodeId)> = broken
-            .into_iter()
-            .filter(|&(a, b)| !self.contains_edge(a, b))
-            .collect();
-        (added.into_iter().collect(), removed)
+        broken.retain(|&(a, b)| !self.contains_edge(a, b));
+        (added, broken)
     }
 
     /// Law–Siu DELETE: remove `u` from each cycle, connecting its
@@ -288,29 +292,30 @@ impl HGraph {
         };
         // Read phase: collect incident and healed pairs before any splice so
         // "present before" checks see the pre-op cycles.
-        let mut removed: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-        let mut healed: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+        let mut removed = Vec::with_capacity(2 * self.d);
+        let mut healed = Vec::with_capacity(self.d);
         for cycle in &self.cycles {
             let p = cycle.prev[&u];
             let n = cycle.next[&u];
             if p == u {
                 continue; // u was the cycle's last member
             }
-            removed.insert(norm(p, u));
-            removed.insert(norm(u, n));
+            removed.push(norm(p, u));
+            removed.push(norm(u, n));
             if p != n {
-                healed.insert(norm(p, n));
+                healed.push(norm(p, n));
             }
         }
-        let added: Vec<(NodeId, NodeId)> = healed
-            .into_iter()
-            .filter(|&(a, b)| !self.contains_edge(a, b))
-            .collect();
+        removed.sort_unstable();
+        removed.dedup();
+        healed.sort_unstable();
+        healed.dedup();
+        healed.retain(|&(a, b)| !self.contains_edge(a, b));
         self.members.remove(at);
         for cycle in &mut self.cycles {
             cycle.remove(u);
         }
-        (added, removed.into_iter().collect())
+        (healed, removed)
     }
 
     /// Does any cycle currently walk the edge `(a, b)` (either direction)?
@@ -321,9 +326,16 @@ impl HGraph {
     }
 
     /// The projected simple edge set (union of cycle edges, deduplicated,
-    /// self-pairs dropped), each pair with `u < v`.
-    pub fn simple_edges(&self) -> BTreeSet<(NodeId, NodeId)> {
-        self.cycles.iter().flat_map(|c| c.edges()).collect()
+    /// self-pairs dropped), each pair with `u < v`, ascending. Computed from
+    /// the cycles in O(dn log(dn)).
+    pub fn simple_edges(&self) -> Vec<(NodeId, NodeId)> {
+        let mut edges = Vec::with_capacity(self.d * self.members.len());
+        for c in &self.cycles {
+            edges.extend(c.edges());
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        edges
     }
 
     /// Multigraph degree of `v` counting duplicate cycle edges (2 per cycle
@@ -369,6 +381,7 @@ impl fmt::Display for HGraph {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn ids(range: std::ops::Range<u64>) -> Vec<NodeId> {
         range.map(NodeId::new).collect()
@@ -464,7 +477,7 @@ mod tests {
         // edge for edge, across long mixed churn.
         let mut rng = StdRng::seed_from_u64(31);
         let mut h = HGraph::random(&ids(0..10), 3, &mut rng);
-        let mut mirror = h.simple_edges();
+        let mut mirror: BTreeSet<(NodeId, NodeId)> = h.simple_edges().into_iter().collect();
         let mut next = 100u64;
         for round in 0..300 {
             if h.len() <= 4 || round % 3 != 0 {
@@ -486,7 +499,12 @@ mod tests {
                     assert!(mirror.insert(e), "round {round}: added {e:?} present");
                 }
             }
-            assert_eq!(mirror, h.simple_edges(), "round {round}: projection drift");
+            let projection: Vec<_> = mirror.iter().copied().collect();
+            assert_eq!(
+                projection,
+                h.simple_edges(),
+                "round {round}: projection drift"
+            );
             h.validate().unwrap();
         }
     }

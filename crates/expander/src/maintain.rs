@@ -7,8 +7,6 @@
 //! reports every mutation as an [`EdgeDelta`] so the caller can mirror the
 //! cloud's edges (with its color) into the network graph.
 
-use std::collections::BTreeSet;
-
 use rand::Rng;
 
 use xheal_graph::NodeId;
@@ -58,21 +56,84 @@ impl EdgeDelta {
         EdgeDelta { added, removed }
     }
 
+    /// Folds `next`, a delta applied after this one, into this one, which
+    /// becomes the net change of both. Both must be ascending and exact:
+    /// each removes only edges present and adds only edges absent when it
+    /// applies.
+    ///
+    /// An edge added here and removed by `next` cancels, and so does one
+    /// removed here and re-added by `next`. Folding every step of a
+    /// sequence into an empty delta gives exactly
+    /// [`EdgeDelta::between`] of the first and last edge sets, ascending,
+    /// in merge walks over the two deltas rather than the edge sets.
+    pub fn then(&mut self, next: EdgeDelta) {
+        if self.is_empty() {
+            *self = next;
+            return;
+        }
+        // added − next.removed, and next.removed − added.
+        let EdgeDelta {
+            added: kept_adds,
+            removed: new_removes,
+        } = EdgeDelta::between(&next.removed, &self.added);
+        // removed − next.added, and next.added − removed.
+        let EdgeDelta {
+            added: kept_removes,
+            removed: new_adds,
+        } = EdgeDelta::between(&next.added, &self.removed);
+        // Each pair is disjoint: an edge is either present or absent when
+        // `next` applies.
+        self.added = merge(kept_adds, new_adds);
+        self.removed = merge(kept_removes, new_removes);
+    }
+
     /// True when the operation changed nothing.
     pub fn is_empty(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty()
     }
 }
 
+/// Merges two ascending, mutually disjoint edge lists into one.
+fn merge(a: Vec<EdgePair>, b: Vec<EdgePair>) -> Vec<EdgePair> {
+    if b.is_empty() {
+        return a;
+    }
+    if a.is_empty() {
+        return b;
+    }
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
 #[derive(Clone, Debug)]
 enum Topology {
-    /// All-pairs edges; used while `members <= kappa + 1`.
-    Clique,
-    /// Law–Siu H-graph with `d = kappa / 2` Hamilton cycles.
+    /// The members (ascending, duplicate-free), every pair joined; used
+    /// while there are at most `kappa + 1` of them.
+    Clique(Vec<NodeId>),
+    /// Law–Siu H-graph with `d = kappa / 2` Hamilton cycles, which holds
+    /// its own ascending member list.
     HGraph(HGraph),
 }
 
 /// A self-maintaining expander over a dynamic member set.
+///
+/// The topology is the one copy of the cloud's state: the members are one
+/// ascending list (the clique's, or the H-graph's), and the projected edge
+/// set is not stored. Splices report their change as an [`EdgeDelta`], and
+/// [`MaintainedExpander::edges`] recomputes the projection when a caller
+/// needs all of it.
 ///
 /// # Examples
 ///
@@ -91,34 +152,46 @@ enum Topology {
 #[derive(Clone, Debug)]
 pub struct MaintainedExpander {
     kappa: usize,
-    members: BTreeSet<NodeId>,
     topology: Topology,
     /// Size at the last full (re)build — drives the rebuild-at-half rule.
     peak_size: usize,
-    /// Projected simple edges currently installed. A set, so each splice
-    /// edit is O(log m); rebuilds collect it into sorted lists for the
-    /// one-walk [`EdgeDelta::between`] diff.
-    edges: BTreeSet<EdgePair>,
     /// Count of full rebuilds (exposed for the amortization experiments).
     rebuilds: usize,
 }
 
-/// All-pairs edges over a sorted member set.
-fn clique_edges(members: &BTreeSet<NodeId>) -> BTreeSet<EdgePair> {
-    let v: Vec<NodeId> = members.iter().copied().collect();
-    let mut out = BTreeSet::new();
-    for (i, &a) in v.iter().enumerate() {
-        for &b in &v[i + 1..] {
-            out.insert((a, b));
-        }
+/// All-pairs edges over an ascending member list, ascending.
+fn clique_edges(members: &[NodeId]) -> Vec<EdgePair> {
+    let mut out = Vec::with_capacity(members.len() * members.len().saturating_sub(1) / 2);
+    for (i, &a) in members.iter().enumerate() {
+        out.extend(members[i + 1..].iter().map(|&b| (a, b)));
     }
     out
+}
+
+/// The pairs joining `v` to each of `others` (ascending, without `v`),
+/// ascending: `others` below `v` give `(u, v)` and precede those above,
+/// which give `(v, u)`.
+fn star_edges(v: NodeId, others: &[NodeId]) -> Vec<EdgePair> {
+    others
+        .iter()
+        .map(|&u| if u < v { (u, v) } else { (v, u) })
+        .collect()
+}
+
+/// The topology over ascending `members`: a clique up to `kappa + 1` of
+/// them, a fresh random H-graph above.
+fn build<R: Rng + ?Sized>(members: Vec<NodeId>, kappa: usize, rng: &mut R) -> Topology {
+    if members.len() <= kappa + 1 {
+        Topology::Clique(members)
+    } else {
+        Topology::HGraph(HGraph::random(&members, kappa / 2, rng))
+    }
 }
 
 impl MaintainedExpander {
     /// Builds an expander over `members` with target degree `kappa`
     /// (clique if `members.len() <= kappa + 1`), returning the initial edge
-    /// set to install.
+    /// set to install, ascending.
     ///
     /// # Panics
     ///
@@ -130,25 +203,17 @@ impl MaintainedExpander {
         rng: &mut R,
     ) -> (Self, Vec<EdgePair>) {
         assert!(kappa >= 2 && kappa % 2 == 0, "kappa must be even and >= 2");
-        let set: BTreeSet<NodeId> = members.iter().copied().collect();
+        let mut set = members.to_vec();
+        set.sort_unstable();
+        set.dedup();
         assert!(!set.is_empty(), "expander needs at least one member");
-        let (topology, edges) = if set.len() <= kappa + 1 {
-            (Topology::Clique, clique_edges(&set))
-        } else {
-            let order: Vec<NodeId> = set.iter().copied().collect();
-            let h = HGraph::random(&order, kappa / 2, rng);
-            let e = h.simple_edges();
-            (Topology::HGraph(h), e)
-        };
-        let initial: Vec<EdgePair> = edges.iter().copied().collect();
         let me = MaintainedExpander {
             kappa,
             peak_size: set.len(),
-            members: set,
-            topology,
-            edges,
+            topology: build(set, kappa, rng),
             rebuilds: 0,
         };
+        let initial = me.edges();
         (me, initial)
     }
 
@@ -159,32 +224,39 @@ impl MaintainedExpander {
 
     /// Member count.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.members().len()
     }
 
     /// True when no members remain.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.members().is_empty()
     }
 
-    /// Is `v` a member?
+    /// Is `v` a member? O(log n).
     pub fn contains(&self, v: NodeId) -> bool {
-        self.members.contains(&v)
+        self.members().binary_search(&v).is_ok()
     }
 
-    /// The member set.
-    pub fn members(&self) -> &BTreeSet<NodeId> {
-        &self.members
+    /// The members, ascending.
+    pub fn members(&self) -> &[NodeId] {
+        match &self.topology {
+            Topology::Clique(members) => members,
+            Topology::HGraph(h) => h.members(),
+        }
     }
 
-    /// Currently installed projected edges.
-    pub fn edges(&self) -> &BTreeSet<EdgePair> {
-        &self.edges
+    /// The projected edges currently installed, ascending. Computed from the
+    /// topology on each call: O(m) for a clique, O(m log m) for an H-graph.
+    pub fn edges(&self) -> Vec<EdgePair> {
+        match &self.topology {
+            Topology::Clique(members) => clique_edges(members),
+            Topology::HGraph(h) => h.simple_edges(),
+        }
     }
 
     /// Is the current topology a clique?
     pub fn is_clique(&self) -> bool {
-        matches!(self.topology, Topology::Clique)
+        matches!(self.topology, Topology::Clique(_))
     }
 
     /// Number of full rebuilds performed so far.
@@ -192,54 +264,44 @@ impl MaintainedExpander {
         self.rebuilds
     }
 
-    /// Applies a locally-computed splice delta to the maintained projection
-    /// and packages it as an [`EdgeDelta`]: O(log m) per edited edge, and a
-    /// splice edits O(d²) of them.
-    fn apply_local_delta(&mut self, added: Vec<EdgePair>, removed: Vec<EdgePair>) -> EdgeDelta {
-        for e in &removed {
-            self.edges.remove(e);
-        }
-        self.edges.extend(added.iter().copied());
-        EdgeDelta { added, removed }
-    }
-
     /// Adds `v` to the expander, returning the edge delta to apply.
     ///
     /// H-graph splices compute their delta locally (O(d²) via
     /// [`HGraph::insert_with_delta`], which draws each splice position by
     /// index into its sorted member list) instead of re-projecting the
-    /// whole edge set, and apply it in O(d² log m); only rebuilds and
-    /// clique growth pay work proportional to the cloud.
+    /// whole edge set; only rebuilds and clique growth pay work
+    /// proportional to the cloud.
     ///
     /// # Panics
     ///
     /// Panics if `v` is already a member.
     pub fn insert<R: Rng + ?Sized>(&mut self, v: NodeId, rng: &mut R) -> EdgeDelta {
-        assert!(self.members.insert(v), "{v} already a member");
         match &mut self.topology {
-            Topology::Clique => {
-                if self.members.len() > self.kappa + 1 {
-                    // Clique outgrew its bound: promote to an H-graph.
-                    self.force_rebuild(rng)
+            Topology::Clique(members) => {
+                let Err(at) = members.binary_search(&v) else {
+                    panic!("{v} already a member");
+                };
+                if members.len() > self.kappa {
+                    // With `v` the clique outgrows its bound of κ + 1
+                    // members: promote to an H-graph.
+                    let old = clique_edges(members);
+                    let mut members = std::mem::take(members);
+                    members.insert(at, v);
+                    self.rebuild(old, members, rng)
                 } else {
                     // Clique insert: exactly the new node's pairs appear.
-                    let added: Vec<EdgePair> = self
-                        .members
-                        .iter()
-                        .filter(|&&u| u != v)
-                        .map(|&u| if u < v { (u, v) } else { (v, u) })
-                        .collect();
-                    let mut added = added;
-                    added.sort_unstable();
-                    self.apply_local_delta(added, Vec::new())
+                    let added = star_edges(v, members);
+                    members.insert(at, v);
+                    EdgeDelta {
+                        added,
+                        removed: Vec::new(),
+                    }
                 }
             }
             Topology::HGraph(h) => {
                 let (added, removed) = h.insert_with_delta(v, rng);
-                if self.members.len() > self.peak_size {
-                    self.peak_size = self.members.len();
-                }
-                self.apply_local_delta(added, removed)
+                self.peak_size = self.peak_size.max(h.len());
+                EdgeDelta { added, removed }
             }
         }
     }
@@ -247,33 +309,35 @@ impl MaintainedExpander {
     /// Removes `v`, returning the edge delta to apply. Applies the paper's
     /// rules: fall back to a clique at `κ + 1` members, rebuild the H-graph
     /// once half of the membership since the last build is gone. Like
-    /// [`MaintainedExpander::insert`], non-rebuild splices cost
-    /// O(d² log m) plus one shift of the H-graph's member list.
+    /// [`MaintainedExpander::insert`], non-rebuild splices cost O(d²) plus
+    /// one shift of the H-graph's member list.
     ///
     /// # Panics
     ///
     /// Panics if `v` is not a member.
     pub fn remove<R: Rng + ?Sized>(&mut self, v: NodeId, rng: &mut R) -> EdgeDelta {
-        assert!(self.members.remove(&v), "{v} not a member");
         match &mut self.topology {
-            Topology::Clique => {
+            Topology::Clique(members) => {
+                let Ok(at) = members.binary_search(&v) else {
+                    panic!("{v} not a member");
+                };
                 // Clique removal: exactly the node's pairs disappear.
-                let mut removed: Vec<EdgePair> = self
-                    .members
-                    .iter()
-                    .map(|&u| if u < v { (u, v) } else { (v, u) })
-                    .collect();
-                removed.sort_unstable();
-                self.apply_local_delta(Vec::new(), removed)
+                members.remove(at);
+                EdgeDelta {
+                    added: Vec::new(),
+                    removed: star_edges(v, members),
+                }
             }
             Topology::HGraph(h) => {
-                if self.members.len() <= self.kappa + 1 || self.members.len() * 2 <= self.peak_size
-                {
+                let left = h.len() - 1;
+                if left <= self.kappa + 1 || left * 2 <= self.peak_size {
+                    let old = h.simple_edges();
                     h.delete(v);
-                    self.force_rebuild(rng)
+                    let members = h.members().to_vec();
+                    self.rebuild(old, members, rng)
                 } else {
                     let (added, removed) = h.delete_with_delta(v);
-                    self.apply_local_delta(added, removed)
+                    EdgeDelta { added, removed }
                 }
             }
         }
@@ -282,39 +346,55 @@ impl MaintainedExpander {
     /// Forces a full rebuild (fresh random topology), returning the diff
     /// against the previous projection.
     pub fn force_rebuild<R: Rng + ?Sized>(&mut self, rng: &mut R) -> EdgeDelta {
+        let old = self.edges();
+        let members = self.members().to_vec();
+        self.rebuild(old, members, rng)
+    }
+
+    /// Replaces the topology with a fresh one over `members` (ascending),
+    /// returning the diff from `old`, the projection before the change.
+    fn rebuild<R: Rng + ?Sized>(
+        &mut self,
+        old: Vec<EdgePair>,
+        members: Vec<NodeId>,
+        rng: &mut R,
+    ) -> EdgeDelta {
         self.rebuilds += 1;
-        self.peak_size = self.members.len();
-        let old: Vec<EdgePair> = std::mem::take(&mut self.edges).into_iter().collect();
-        if self.members.len() <= self.kappa + 1 {
-            self.topology = Topology::Clique;
-            self.edges = clique_edges(&self.members);
-        } else {
-            let order: Vec<NodeId> = self.members.iter().copied().collect();
-            let h = HGraph::random(&order, self.kappa / 2, rng);
-            self.edges = h.simple_edges();
-            self.topology = Topology::HGraph(h);
-        }
-        let new: Vec<EdgePair> = self.edges.iter().copied().collect();
-        EdgeDelta::between(&old, &new)
+        self.peak_size = members.len();
+        self.topology = build(members, self.kappa, rng);
+        EdgeDelta::between(&old, &self.edges())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn ids(range: std::ops::Range<u64>) -> Vec<NodeId> {
         range.map(NodeId::new).collect()
     }
 
-    fn apply(edges: &mut BTreeSet<EdgePair>, delta: &EdgeDelta) {
+    /// Applies `delta` to `edges`, failing unless it is exact: every removed
+    /// edge present, every added edge absent, both lists strictly ascending.
+    fn apply(edges: &mut BTreeSet<EdgePair>, delta: &EdgeDelta) -> Result<(), TestCaseError> {
+        prop_assert!(
+            delta.removed.windows(2).all(|w| w[0] < w[1]),
+            "removed unsorted"
+        );
+        prop_assert!(
+            delta.added.windows(2).all(|w| w[0] < w[1]),
+            "added unsorted"
+        );
         for e in &delta.removed {
-            assert!(edges.remove(e), "removed edge {e:?} not present");
+            prop_assert!(edges.remove(e), "removed edge {:?} not present", e);
         }
         for e in &delta.added {
-            assert!(edges.insert(*e), "added edge {e:?} already present");
+            prop_assert!(edges.insert(*e), "added edge {:?} already present", e);
         }
+        Ok(())
     }
 
     #[test]
@@ -336,26 +416,86 @@ mod tests {
         }
     }
 
-    #[test]
-    fn deltas_track_edge_set_exactly() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let (mut e, initial) = MaintainedExpander::new(&ids(0..12), 4, &mut rng);
-        let mut mirror: BTreeSet<EdgePair> = initial.into_iter().collect();
-        let check = |mirror: &BTreeSet<EdgePair>, e: &MaintainedExpander| {
-            assert_eq!(mirror, e.edges(), "edge set drift");
-        };
-        for i in 12..20 {
-            let d = e.insert(NodeId::new(i), &mut rng);
-            apply(&mut mirror, &d);
-            check(&mirror, &e);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random joins and departures at κ ∈ {2, 4, 6}, in phases that grow
+        /// the cloud to about 4κ and shrink it to two members, twice: every
+        /// run crosses clique → H-graph promotion, the rebuild-at-half rule
+        /// and H-graph → clique fallback. Each returned delta must be exact
+        /// against a mirror, and the mirror must equal `edges()` after
+        /// every step.
+        #[test]
+        fn deltas_track_edge_set_exactly(seed in any::<u64>(), d in 1usize..=3, start in 1u64..12) {
+            let kappa = 2 * d;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut e, initial) = MaintainedExpander::new(&ids(0..start), kappa, &mut rng);
+            let mut mirror: BTreeSet<EdgePair> = initial.into_iter().collect();
+            let mut next = start;
+            let (mut promotions, mut fallbacks, mut half_rebuilds) = (0, 0, 0);
+            for phase in 0..4 {
+                let growing = phase % 2 == 0;
+                let mut steps = 0;
+                while if growing { e.len() < 4 * kappa + 8 } else { e.len() > 2 } {
+                    steps += 1;
+                    prop_assert!(steps < 2_000, "phase {} stalled", phase);
+                    let (was_clique, rebuilds) = (e.is_clique(), e.rebuild_count());
+                    let join = rng.random_bool(if growing { 0.75 } else { 0.25 });
+                    let delta = if join || e.is_empty() {
+                        next += 1;
+                        e.insert(NodeId::new(next), &mut rng)
+                    } else {
+                        let v = e.members()[rng.random_range(0..e.len())];
+                        let delta = e.remove(v, &mut rng);
+                        prop_assert!(!e.contains(v));
+                        if e.rebuild_count() > rebuilds && !was_clique {
+                            if e.is_clique() {
+                                fallbacks += 1;
+                            } else {
+                                half_rebuilds += 1;
+                            }
+                        }
+                        delta
+                    };
+                    if was_clique && !e.is_clique() {
+                        promotions += 1;
+                    }
+                    apply(&mut mirror, &delta)?;
+                    let projection: Vec<EdgePair> = mirror.iter().copied().collect();
+                    prop_assert_eq!(projection, e.edges());
+                    prop_assert!(e.members().windows(2).all(|w| w[0] < w[1]));
+                }
+            }
+            prop_assert!(promotions >= 1, "{} promotions", promotions);
+            prop_assert!(half_rebuilds >= 2, "{} rebuilds at half", half_rebuilds);
+            prop_assert!(fallbacks >= 2, "{} fallbacks", fallbacks);
         }
-        for i in 0..15 {
-            let d = e.remove(NodeId::new(i), &mut rng);
-            apply(&mut mirror, &d);
-            check(&mirror, &e);
+
+        /// Removing a random subset of one cloud's members and folding each
+        /// removal's delta into a running net delta gives exactly the diff
+        /// of the projections before and after, whatever rebuilds and
+        /// fallbacks the removals cross.
+        #[test]
+        fn folded_removals_equal_the_net_diff(
+            seed in any::<u64>(),
+            d in 1usize..=3,
+            size in 2u64..40,
+            joins in 0u64..20,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut e, _) = MaintainedExpander::new(&ids(0..size), 2 * d, &mut rng);
+            for v in size..size + joins {
+                e.insert(NodeId::new(v), &mut rng);
+            }
+            let before = e.edges();
+            let mut victims = e.members().to_vec();
+            victims.retain(|_| rng.random_bool(0.5));
+            let mut net = EdgeDelta::default();
+            for &v in &victims {
+                net.then(e.remove(v, &mut rng));
+            }
+            prop_assert_eq!(net, EdgeDelta::between(&before, &e.edges()));
         }
-        assert_eq!(e.len(), 5);
-        assert!(e.is_clique(), "shrunk below kappa+1, must be clique");
     }
 
     #[test]
@@ -391,9 +531,9 @@ mod tests {
     fn force_rebuild_changes_topology_but_not_members() {
         let mut rng = StdRng::seed_from_u64(6);
         let (mut e, _) = MaintainedExpander::new(&ids(0..25), 4, &mut rng);
-        let members = e.members().clone();
+        let members = e.members().to_vec();
         let delta = e.force_rebuild(&mut rng);
-        assert_eq!(e.members(), &members);
+        assert_eq!(e.members(), members.as_slice());
         assert!(!delta.is_empty(), "a fresh random H-graph differs w.h.p.");
     }
 
@@ -424,7 +564,7 @@ mod tests {
             for &v in e.members() {
                 g.add_node(v).unwrap();
             }
-            for &(a, b) in e.edges() {
+            for (a, b) in e.edges() {
                 g.add_black_edge(a, b).unwrap();
             }
             assert!(

@@ -439,12 +439,14 @@ struct Slot {
 ///
 /// `version` rises on every edit that changes a neighbor *set*: a node
 /// added or removed, an edge created or dropped. `of[s]` is the version at
-/// which slot `s`'s neighbor set last changed. Label-only edits touch
-/// neither, because the CSR does not see labels.
+/// which slot `s`'s neighbor set last changed, and `node_added` the version
+/// of the last [`Graph::add_node`]. Label-only edits touch none of them,
+/// because the CSR does not see labels.
 #[derive(Clone, Debug, Default)]
 struct Stamps {
     version: u64,
     of: Vec<u64>,
+    node_added: u64,
 }
 
 impl Stamps {
@@ -760,6 +762,7 @@ impl Graph {
         // A recycled slot, or a re-added id, must not pass for the row a
         // cached snapshot holds.
         self.stamps.touch(slot as usize);
+        self.stamps.node_added = self.stamps.version;
         self.index.insert(v, slot);
         self.ordered.insert(v);
         Ok(())
@@ -1033,17 +1036,19 @@ impl Graph {
     /// changed since, this returns that snapshot again, which costs a
     /// reference-count increment: two views of one graph state share their
     /// storage. Otherwise it builds a new one in one pass over the live
-    /// nodes. A row whose node the kept snapshot holds, and whose neighbor
-    /// set has not changed since, is copied from it with each entry
-    /// renumbered; only the other rows (the nodes and neighbors an edit
-    /// touched) are read from the arena. The cost is O(n + m) for the copy
-    /// plus one word per arena slot, and a repair's arena reads scale with
-    /// what it changed. A graph without a kept snapshot (new, or a clone)
-    /// runs the same loop and copies no row. Every snapshot equals a full
-    /// build. The kept snapshot holds the memory of one live view (8n bytes
-    /// of ids, 4(n + 1) of offsets, 8m of neighbors and, with a table, 4
-    /// per covered id) until the next rebuild or the graph's drop, and the
-    /// stamps add 8 bytes per arena slot.
+    /// nodes, taken from the kept snapshot's node list when no node was
+    /// added since, and from the ordered set otherwise. A row whose node
+    /// the kept snapshot holds, and whose neighbor set has not changed
+    /// since, is copied from it with each entry renumbered; only the other
+    /// rows (the nodes and neighbors an edit touched) are read from the
+    /// arena. The cost is O(n + m) for the copy plus one word per arena
+    /// slot, and a repair's arena reads scale with what it changed. A graph
+    /// without a kept snapshot (new, or a clone) runs the same loop and
+    /// copies no row. Every snapshot equals a full build. The kept snapshot
+    /// holds the memory of one live view (8n bytes of ids, 4(n + 1) of
+    /// offsets, 8m of neighbors and, with a table, 4 per covered id) until
+    /// the next rebuild or the graph's drop, and the stamps add 8 bytes per
+    /// arena slot.
     ///
     /// While the ids are dense (the largest live id below `DENSE_ID_LIMIT`
     /// is under `2n + 64`), the view also carries an id → dense-index table
@@ -1069,6 +1074,19 @@ impl Graph {
     fn build_csr(&self, built: u64, old: &CsrArrays) -> CsrView {
         let n = self.ordered.len();
         let mut nodes = Vec::with_capacity(n);
+        if self.stamps.node_added <= built {
+            // No node joined since `old`: its spine minus the departed ones,
+            // without a walk of the ordered set.
+            nodes.extend(
+                old.nodes
+                    .iter()
+                    .copied()
+                    .filter(|&v| self.index.contains(v)),
+            );
+        } else {
+            nodes.extend(self.ordered.iter().copied());
+        }
+        debug_assert_eq!(nodes.len(), n, "spine lost or gained a node");
         // Per new row: its arena slot, and the old row to copy or `ABSENT`.
         let mut rows: Vec<(u32, u32)> = Vec::with_capacity(n);
         // Old dense index → new one (`ABSENT` once removed). Both spines
@@ -1086,8 +1104,8 @@ impl Graph {
             Vec::new()
         };
         let mut j = 0;
-        for (i, &v) in self.ordered.iter().enumerate() {
-            let slot = self.index.get(v).expect("ordered node interned");
+        for (i, &v) in nodes.iter().enumerate() {
+            let slot = self.index.get(v).expect("spine node interned");
             while old.nodes.get(j).is_some_and(|&w| w < v) {
                 j += 1;
             }
@@ -1098,7 +1116,6 @@ impl Graph {
                     from = j as u32;
                 }
             }
-            nodes.push(v);
             rows.push((slot, from));
             slot_to_dense[slot as usize] = i as u32;
             if let Some(entry) = id_to_dense.get_mut(v.as_u64() as usize) {

@@ -108,10 +108,13 @@ fn random_batch(g: &Graph, rng: &mut StdRng) -> Vec<EdgeMutation> {
 }
 
 /// `g.csr_view()`, built from the kept snapshot, equals a clone's, which
-/// has none and so reads every row from the arena.
+/// has none and so reads every row from the arena, and both list exactly
+/// the graph's live nodes.
 fn assert_equals_a_full_build(g: &Graph) -> Result<(), TestCaseError> {
     let kept = g.csr_view();
     let full = g.clone().csr_view();
+    let live = g.node_vec();
+    prop_assert_eq!(full.nodes(), live.as_slice());
     prop_assert_eq!(kept.nodes(), full.nodes());
     prop_assert_eq!(kept.offsets(), full.offsets());
     prop_assert_eq!(kept.neighbors_flat(), full.neighbors_flat());
