@@ -63,7 +63,7 @@ fn main() {
                         run(&mut healer, &mut adv, g0.node_count(), 42)
                     }
                 };
-                let gp = &summary.gprime;
+                let gp = summary.gprime.graph();
                 let ratio = degree_increase(healer.graph(), gp);
                 // Additive-slack witness for Lemma 3's "+2k" term.
                 let mut slack: f64 = 0.0;

@@ -33,7 +33,8 @@ fn main() {
         for mut healer in healers {
             let mut adv = DeleteOnly::new(Targeting::Random, n / 2);
             let summary = run(healer.as_mut(), &mut adv, n, 9);
-            let s = stretch(healer.graph(), &summary.gprime, 120, 10).unwrap_or(f64::INFINITY);
+            let s =
+                stretch(healer.graph(), summary.gprime.graph(), 120, 10).unwrap_or(f64::INFINITY);
             if healer.name() == "xheal" {
                 if s.is_infinite() {
                     finite = false;

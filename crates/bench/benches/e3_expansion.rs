@@ -53,7 +53,7 @@ fn main() {
             let summary = run(&mut healer, &mut adv, deletions, 17);
             let h_gt = exact_h(healer.graph());
             // G' keeps dead nodes; its expansion uses the full graph.
-            let h_gp = exact_h(&summary.gprime);
+            let h_gp = exact_h(summary.gprime.graph());
             let (ok, bound) = match (h_gt, h_gp) {
                 (Some(h), Some(hp)) => {
                     let b = alpha_prime.min(hp);

@@ -46,11 +46,11 @@ fn main() {
         for mut healer in healers {
             let mut adv = DeleteOnly::new(Targeting::Random, n / 2);
             let summary = run(healer.as_mut(), &mut adv, n, 3);
-            let l_gp = normalized_algebraic_connectivity(&summary.gprime);
+            let l_gp = normalized_algebraic_connectivity(summary.gprime.graph());
             let l_gt = normalized_algebraic_connectivity(healer.graph());
             // Theorem 2(4) formula with the proof's constants, using G't's
             // degree range (dmax(Gt) <= kappa*dmax(G't) per Lemma 3).
-            let (dmin, dmax) = degree_range(&summary.gprime);
+            let (dmin, dmax) = degree_range(summary.gprime.graph());
             let term1 = l_gp * l_gp * dmin / (8.0 * (kappa as f64).powi(2) * dmax * dmax);
             let term2 = 1.0 / (2.0 * (kappa as f64 * dmax).powi(2));
             let bound = term1.min(term2);

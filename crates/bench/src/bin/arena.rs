@@ -5,19 +5,20 @@
 //! For each of the ten registry engines (`xheal`, `xheal-par`, the two
 //! distributed substrates, DEX, and the five baselines) and each of the
 //! three standard schedules (uniform churn, clustered `DeleteBatch`
-//! bursts, insert-heavy growth), a fresh engine runs the schedule with an
-//! [`xheal_monitor::Monitor`] subscribed to its delta stream. The scorer
-//! checkpoints the expensive invariants periodically during the run and
-//! once at the end, so every cell reports healing *cost* (rounds,
-//! messages, edge operations, wall time) against invariant *quality*
-//! (degree increase, sampled stretch, sweep-cut expansion, spectral gap
-//! λ₂ and λ₃, components, alert counts).
+//! bursts, insert-heavy growth), a fresh engine runs the schedule scored by
+//! [`xheal_monitor::MonitorHook`]: a monitor subscribed to the engine's
+//! delta stream, fed each insertion of the tape, checkpointed periodically
+//! during the run and once at the end. Every cell reports healing *cost*
+//! (rounds, messages, edge operations, wall time) against invariant
+//! *quality* (degree increase against the tape's `G'`, exact all-pairs
+//! stretch, sweep-cut expansion, spectral gap λ₂ and λ₃, components, alert
+//! counts).
 //!
 //! DEX's hard constant-degree bound (`max_load × degree`) is asserted
 //! **in-process after every applied event**, not just on the final graph —
 //! a transient breach anywhere in the schedule aborts the run.
 //!
-//! Output is `BENCH_arena.json` (schema `xheal-bench-arena/v1`, override
+//! Output is `BENCH_arena.json` (schema `xheal-bench-arena/v2`, override
 //! the path with `--out`); `--smoke` shrinks sizes for CI. Run the full
 //! measurement with:
 //!
@@ -25,57 +26,31 @@
 //! cargo run --release -p xheal-bench --bin arena
 //! ```
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use xheal_core::{Event, HealingEngine, Outcome};
 use xheal_dex::DexConfig;
 use xheal_graph::{generators, Graph};
-use xheal_monitor::{Monitor, MonitorConfig, MonitorHook};
+use xheal_monitor::MonitorHook;
 use xheal_workload::{
     run_arena, standard_registry, ArenaMatrix, ArenaQuality, ArenaSchedule, ArenaScorer,
-    HealthNote, RunObserver, RunSummary, Severity,
+    HealthNote, RunObserver, RunSummary,
 };
 
 const KAPPA: usize = 4;
 const ARENA_SEED: u64 = 0xA12E4A;
 
-/// The monitor-backed [`ArenaScorer`]: one fresh [`Monitor`] per cell,
-/// subscribed to the engine's delta stream at attach time, checkpointed
-/// through a [`MonitorHook`] during the run and once more at finish.
-struct MonitorScorer {
-    monitor: Rc<RefCell<Monitor>>,
+/// The shared monitor scorer plus, for DEX cells, its hard degree cap
+/// checked after every event.
+struct CappedScorer {
     hook: MonitorHook,
-    /// In-process hard degree cap (DEX cells): checked after every event.
     degree_cap: Option<usize>,
     label: String,
 }
 
-impl MonitorScorer {
-    /// Builds the scorer over the engine's post-construction graph — for
-    /// DEX that is its bootstrap projection, which is exactly the
-    /// reference its degree-increase and stretch should be judged against.
-    fn new(label: String, initial: &Graph, checkpoint_every: usize, cap: Option<usize>) -> Self {
-        let config = MonitorConfig {
-            track_lambda3: true,
-            ..MonitorConfig::default()
-        };
-        let monitor = Rc::new(RefCell::new(Monitor::new(initial, config)));
-        let hook = MonitorHook::new(Rc::clone(&monitor), checkpoint_every);
-        MonitorScorer {
-            monitor,
-            hook,
-            degree_cap: cap,
-            label,
-        }
-    }
-}
-
-impl RunObserver for MonitorScorer {
+impl RunObserver for CappedScorer {
     fn on_event(&mut self, step: usize, event: &Event, outcome: &Outcome, graph: &Graph) {
         self.hook.on_event(step, event, outcome, graph);
         if let Some(cap) = self.degree_cap {
-            let worst = self.monitor.borrow().degrees().max();
+            let worst = self.hook.monitor().borrow().degrees().max();
             assert!(
                 worst <= cap,
                 "{}: degree bound violated at step {step}: {worst} > {cap}",
@@ -89,43 +64,13 @@ impl RunObserver for MonitorScorer {
     }
 }
 
-impl ArenaScorer for MonitorScorer {
+impl ArenaScorer for CappedScorer {
     fn attach(&mut self, engine: &mut dyn HealingEngine) {
-        engine.subscribe(Box::new(Rc::clone(&self.monitor)));
+        self.hook.attach(engine);
     }
 
     fn finish(&mut self, graph: &Graph, summary: &RunSummary) -> ArenaQuality {
-        let mut m = self.monitor.borrow_mut();
-        assert_eq!(
-            (m.node_count(), m.edge_count()),
-            (graph.node_count(), graph.edge_count()),
-            "{}: monitor drifted from the engine graph",
-            self.label
-        );
-        let report = m.checkpoint();
-        // An engine whose reference shadow never saw a black edge (DEX
-        // rebuilds its overlay from membership alone) has no meaningful
-        // reference-relative metrics: report null, not a vacuous zero.
-        let has_reference = m.gprime().edge_count() > 0;
-        ArenaQuality {
-            max_degree: report.max_degree,
-            degree_increase: has_reference.then_some(report.degree_increase),
-            stretch: report.stretch.filter(|_| has_reference),
-            expansion: report.expansion,
-            spectral_gap: Some(report.spectral_gap.lambda),
-            lambda3: report.lambda3,
-            components: report.components,
-            warn_notes: summary
-                .health
-                .iter()
-                .filter(|n| n.severity == Severity::Warning)
-                .count(),
-            critical_notes: summary
-                .health
-                .iter()
-                .filter(|n| n.severity == Severity::Critical)
-                .count(),
-        }
+        self.hook.finish(graph, summary)
     }
 }
 
@@ -189,7 +134,7 @@ fn json(matrix: &ArenaMatrix, smoke: bool, steps: usize, dex_bound: usize) -> St
         ));
     }
     format!(
-        "{{\n  \"schema\": \"xheal-bench-arena/v1\",\n  \"smoke\": {smoke},\n  \
+        "{{\n  \"schema\": \"xheal-bench-arena/v2\",\n  \"smoke\": {smoke},\n  \
          \"kappa\": {KAPPA},\n  \"n0\": {},\n  \"steps\": {steps},\n  \
          \"seed\": {},\n  \"dex_degree_bound\": {dex_bound},\n  \
          \"engines\": [{engines}],\n  \"schedules\": [{schedules}],\n  \
@@ -226,8 +171,11 @@ fn main() {
     let registry = standard_registry(KAPPA);
     let schedules = ArenaSchedule::standard(steps);
     let matrix = run_arena(&registry, &schedules, &g0, ARENA_SEED, |key, sched, g| {
-        let cap = (key == "dex").then_some(dex_bound);
-        MonitorScorer::new(format!("{key}/{}", sched.name), g, checkpoint_every, cap)
+        CappedScorer {
+            hook: MonitorHook::scorer(g, checkpoint_every),
+            degree_cap: (key == "dex").then_some(dex_bound),
+            label: format!("{key}/{}", sched.name),
+        }
     });
 
     assert!(matrix.is_complete(), "arena matrix has holes");

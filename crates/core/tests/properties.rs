@@ -4,21 +4,22 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use xheal_core::{invariants, Xheal, XhealConfig};
-use xheal_graph::{components, generators, Graph, NodeId};
+use xheal_graph::{components, generators, NodeId};
+use xheal_metrics::GPrime;
 
 /// Replays a random insert/delete schedule, checking invariants and
 /// connectivity after every step; returns the healer and the insertion-only
-/// graph G'.
+/// graph G' recorded from the same insertions.
 fn run_schedule(
     start_n: usize,
     steps: usize,
     p_insert: f64,
     kappa: usize,
     seed: u64,
-) -> (Xheal, Graph) {
+) -> (Xheal, GPrime) {
     let mut rng = StdRng::seed_from_u64(seed);
     let g0 = generators::connected_erdos_renyi(start_n, 0.12, &mut rng);
-    let mut gprime = g0.clone();
+    let mut gprime = GPrime::new(&g0);
     let mut x = Xheal::new(&g0, XhealConfig::new(kappa).with_seed(seed ^ 0xABCD));
     let mut next_id = start_n as u64;
 
@@ -36,10 +37,7 @@ fn run_schedule(
             let v = NodeId::new(next_id);
             next_id += 1;
             x.heal_insert(v, &nbrs).unwrap();
-            gprime.add_node(v).unwrap();
-            for &u in &nbrs {
-                let _ = gprime.add_black_edge(v, u);
-            }
+            gprime.record_insert(v, &nbrs).unwrap();
         } else {
             let victim = nodes[rng.random_range(0..nodes.len())];
             x.heal_delete(victim).unwrap();
@@ -80,7 +78,7 @@ proptest! {
         let (x, gprime) = run_schedule(start_n, steps, 0.3, kappa, seed);
         for v in x.graph().nodes() {
             let d = x.graph().degree(v).unwrap() as f64;
-            let dprime = gprime.degree(v).unwrap_or(0) as f64;
+            let dprime = gprime.graph().degree(v).unwrap_or(0) as f64;
             let bound = kappa as f64 * dprime + 3.0 * kappa as f64;
             prop_assert!(
                 d <= bound,

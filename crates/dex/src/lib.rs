@@ -25,13 +25,10 @@
 //!
 //! Projection edges are emitted as *colored* [`TopologyDelta`]s under the
 //! reserved [`DEX_CLOUD`] color: DEX rebuilds topology instead of preserving
-//! adversarial edges, so none of its edges belong to the black reference
-//! graph `G'`. The monitor grows its `G'` shadow from black edge deltas
-//! only, so for DEX that shadow stays empty and the monitor-scored arena
-//! reports DEX's degree increase and stretch as `None` (`null` in the
-//! arena record). The tape's `G'` — built from the event stream,
-//! independent of any engine — is `xheal_workload::RunSummary::gprime`;
-//! the monitor does not score against it.
+//! adversarial edges. No edge colour decides `G'` anywhere in the
+//! workspace: the monitor and `xheal_workload::RunSummary::gprime` both
+//! build it from the event tape, starting from the graph the run starts
+//! with, which for DEX is its bootstrap projection.
 //!
 //! Determinism: all placement and sampling decisions come from one seeded
 //! [`StdRng`] plus ordered (`BTreeMap`) iteration, so identical event

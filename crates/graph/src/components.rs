@@ -5,7 +5,9 @@
 //! adversary's nastiest strategy (deleting cut vertices, which maximally
 //! stresses the healer).
 
-use crate::{Graph, NodeId};
+use std::collections::VecDeque;
+
+use crate::{CsrView, Graph, NodeId};
 
 /// The connected components, each sorted ascending; components sorted by
 /// their smallest node.
@@ -36,27 +38,36 @@ pub fn components(g: &Graph) -> Vec<Vec<NodeId>> {
     out
 }
 
-/// Is the graph connected? The empty graph counts as connected.
-pub fn is_connected(g: &Graph) -> bool {
-    let csr = g.csr_view();
-    if csr.len() <= 1 {
-        return true;
-    }
-    // Single BFS over the dense view; no need to materialize components.
-    let mut seen = vec![false; csr.len()];
-    let mut stack: Vec<u32> = vec![0];
-    seen[0] = true;
-    let mut visited = 1usize;
-    while let Some(x) = stack.pop() {
-        for &y in csr.neighbors_of(x as usize) {
-            if !seen[y as usize] {
-                seen[y as usize] = true;
-                visited += 1;
-                stack.push(y);
+/// Connected-component count of a CSR snapshot: one dense BFS sweep that
+/// materializes no component (the monitor's checkpoint counts with it).
+pub fn component_count(csr: &CsrView) -> usize {
+    let n = csr.len();
+    let mut seen = vec![false; n];
+    let mut queue: VecDeque<usize> = VecDeque::new();
+    let mut components = 0;
+    for root in 0..n {
+        if seen[root] {
+            continue;
+        }
+        components += 1;
+        seen[root] = true;
+        queue.push_back(root);
+        while let Some(u) = queue.pop_front() {
+            for &w in csr.neighbors_of(u) {
+                let w = w as usize;
+                if !seen[w] {
+                    seen[w] = true;
+                    queue.push_back(w);
+                }
             }
         }
     }
-    visited == csr.len()
+    components
+}
+
+/// Is the graph connected? The empty graph counts as connected.
+pub fn is_connected(g: &Graph) -> bool {
+    component_count(&g.csr_view()) <= 1
 }
 
 /// Size of the largest connected component (0 for an empty graph).
@@ -144,6 +155,17 @@ mod tests {
 
     fn n(raw: u64) -> NodeId {
         NodeId::new(raw)
+    }
+
+    #[test]
+    fn component_count_counts() {
+        assert_eq!(component_count(&Graph::new().csr_view()), 0);
+        let mut g = generators::cycle(5);
+        assert_eq!(component_count(&g.csr_view()), 1);
+        g.add_node(n(50)).unwrap();
+        g.add_node(n(51)).unwrap();
+        g.add_black_edge(n(50), n(51)).unwrap();
+        assert_eq!(component_count(&g.csr_view()), 2);
     }
 
     #[test]

@@ -4,11 +4,15 @@
 //! against `G'_t`, "the graph consisting solely of the original nodes and
 //! insertions without regard to deletions and healings". Deleted nodes stay
 //! in `G'_t` — a shortest path there may run through dead nodes.
+//!
+//! [`GPrime`] is the workspace's one `G'`: the run summary, the monitor and
+//! the tests all grow it from the event tape's insertions, never from the
+//! edges an engine reports.
 
 use xheal_graph::{Graph, GraphError, NodeId};
 
-/// Tracker for `G'_t`: feed it the same insertions the healer sees and never
-/// tell it about deletions.
+/// Tracker for `G'_t`: feed it the same insertions the healer sees. It has
+/// no deletion entry point — a deletion leaves `G'` as it is.
 ///
 /// # Examples
 ///
@@ -27,23 +31,25 @@ pub struct GPrime {
 }
 
 impl GPrime {
-    /// Starts tracking from the initial network `G_0`.
+    /// Starts tracking from the initial network `G_0`, every edge of it
+    /// whatever its colour.
     pub fn new(initial: &Graph) -> Self {
         GPrime {
             graph: initial.clone(),
         }
     }
 
-    /// Records an adversarial insertion.
+    /// Records an adversarial insertion: `v` joins `G'` with an edge to
+    /// each of its `contacts`. A repeated contact, `v` itself, or a contact
+    /// `G'` never held adds no edge.
     ///
     /// # Errors
     ///
-    /// Propagates [`GraphError`] on duplicate nodes; unknown neighbors are
-    /// an error too (the adversary can only connect to nodes that existed at
-    /// some point, all of which `G'` retains).
-    pub fn record_insert(&mut self, v: NodeId, neighbors: &[NodeId]) -> Result<(), GraphError> {
+    /// [`GraphError::NodeExists`] when `G'` already holds `v` (ids are never
+    /// reused: `G'` keeps every node that ever lived); `G'` is unchanged.
+    pub fn record_insert(&mut self, v: NodeId, contacts: &[NodeId]) -> Result<(), GraphError> {
         self.graph.add_node(v)?;
-        for &u in neighbors {
+        for &u in contacts {
             if u != v {
                 let _ = self.graph.add_black_edge(v, u);
             }

@@ -94,8 +94,9 @@ impl fmt::Display for HealthEvent {
 pub struct MetricsSnapshot {
     /// Topology generation the snapshot describes.
     pub generation: u64,
-    /// Maintained max degree increase vs `G'`.
-    pub degree_increase: f64,
+    /// Maintained max degree increase vs `G'`, when `G'` covers every
+    /// live node.
+    pub degree_increase: Option<f64>,
     /// Warm-started λ₂ of the normalized Laplacian, when computed.
     pub spectral_gap: Option<f64>,
     /// Sweep-cut expansion estimate, when computed.
@@ -222,11 +223,13 @@ impl HealthPolicy {
 
         check(
             MetricKind::DegreeIncrease,
-            self.max_degree_increase.map(|lim| {
-                let warn = self.warn_degree_increase.unwrap_or(lim).min(lim);
-                let v = snap.degree_increase;
-                (v, lim, warn, v > lim, v > warn)
-            }),
+            match (self.max_degree_increase, snap.degree_increase) {
+                (Some(lim), Some(v)) => {
+                    let warn = self.warn_degree_increase.unwrap_or(lim).min(lim);
+                    Some((v, lim, warn, v > lim, v > warn))
+                }
+                _ => None,
+            },
             &mut state.degree_increase,
         );
         check(
@@ -280,7 +283,7 @@ mod tests {
         let mut out = Vec::new();
         let healthy = MetricsSnapshot {
             generation: 1,
-            degree_increase: 2.0,
+            degree_increase: Some(2.0),
             spectral_gap: Some(0.2),
             expansion: None,
             components: Some(1),
@@ -291,7 +294,7 @@ mod tests {
         // Breach two metrics: exactly two Critical alerts.
         let sick = MetricsSnapshot {
             generation: 2,
-            degree_increase: 9.0,
+            degree_increase: Some(9.0),
             spectral_gap: Some(0.2),
             expansion: None,
             components: Some(3),
@@ -338,7 +341,7 @@ mod tests {
         let mut out = Vec::new();
         let at = |generation: u64, degree_increase: f64| MetricsSnapshot {
             generation,
-            degree_increase,
+            degree_increase: Some(degree_increase),
             components: Some(1),
             ..MetricsSnapshot::default()
         };

@@ -13,7 +13,9 @@
 //! - O(1)-per-delta metric trackers: [`DegreeHistogram`]s for degree and
 //!   black degree, [`DegreeIncreaseTracker`] against the insertion-only
 //!   `G'` baseline, and a [`StretchReservoir`] of churn-touched nodes for
-//!   on-demand stretch sampling;
+//!   on-demand stretch sampling. `G'` is an [`xheal_metrics::GPrime`] grown
+//!   from the event tape ([`Monitor::record_insert`]), never from the
+//!   colours of the edges an engine reports;
 //! - [`SpectralGapTracker`]: λ₂ of the normalized Laplacian re-estimated
 //!   by Lanczos **warm-started** from the previous Fiedler vector. That one
 //!   solve also yields the checkpoint's expansion: the Cheeger sweep over
@@ -24,8 +26,9 @@
 //! [`Monitor`] bundles it all behind one [`TopologySink`], attachable to
 //! any executor via `Xheal::builder().sink(..)` /
 //! `DistXheal::builder().sink(..)`; [`MonitorHook`] plugs the same monitor
-//! into `xheal_workload::run_observed` so per-event health lands in the
-//! `RunSummary`.
+//! into `xheal_workload::run_observed`, records each insertion of the tape
+//! into its `G'`, and lands per-event health in the `RunSummary`. The hook
+//! is also the arena's scorer (`xheal_workload::ArenaScorer`).
 //!
 //! # Examples
 //!
@@ -61,19 +64,18 @@ mod spectral;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use xheal_core::{Event, Outcome, TopologyDelta, TopologySink};
-use xheal_graph::Graph;
+use xheal_core::{Event, HealingEngine, Outcome, TopologyDelta, TopologySink};
+use xheal_graph::{Graph, GraphError, NodeId};
+use xheal_metrics::{stretch, GPrime};
 use xheal_spectral::sweep_cut_csr;
 use xheal_trace::{hook, Layer, SharedTracer};
-use xheal_workload::{HealthNote, RunObserver, Severity};
+use xheal_workload::{ArenaQuality, ArenaScorer, HealthNote, RunObserver, RunSummary, Severity};
 
 pub use csr::{DeltaEffect, IncrementalCsr};
 pub use health::{Band, BreachState, HealthEvent, HealthPolicy, MetricKind, MetricsSnapshot};
-pub use metrics::{
-    component_count, sampled_stretch, DegreeHistogram, DegreeIncreaseTracker, GPrimeShadow,
-    StretchReservoir,
-};
+pub use metrics::{sampled_stretch, DegreeHistogram, DegreeIncreaseTracker, StretchReservoir};
 pub use spectral::{GapEstimate, SpectralGapTracker};
+pub use xheal_graph::components::component_count;
 
 /// Construction-time knobs for a [`Monitor`].
 #[derive(Clone, Copy, Debug)]
@@ -120,8 +122,9 @@ pub struct HealthReport {
     pub max_black_degree: usize,
     /// Mean degree.
     pub mean_degree: f64,
-    /// Maintained `max deg_G / deg_{G'}` (success metric 1).
-    pub degree_increase: f64,
+    /// Maintained `max deg_G / deg_{G'}` (success metric 1); `None` while
+    /// `G'` lacks a live node (see [`Monitor::degree_increase`]).
+    pub degree_increase: Option<f64>,
     /// Connected components (BFS over the mirror's CSR snapshot).
     pub components: usize,
     /// Warm-started λ₂ of the normalized Laplacian.
@@ -136,7 +139,7 @@ pub struct HealthReport {
     /// graphs with fewer than 2 nodes.
     pub expansion: Option<f64>,
     /// Max stretch over the reservoir sample, `None` when no comparable
-    /// pair was sampled.
+    /// pair was sampled or `G'` lacks a live node.
     pub stretch: Option<f64>,
 }
 
@@ -155,7 +158,9 @@ pub struct Monitor {
     degrees: DegreeHistogram,
     black_degrees: DegreeHistogram,
     degree_increase: DegreeIncreaseTracker,
-    gprime: GPrimeShadow,
+    gprime: GPrime,
+    /// Live nodes `G'` lacks: arrivals no recorded insertion covers.
+    unrecorded: usize,
     reservoir: StretchReservoir,
     spectral: SpectralGapTracker,
     policy: HealthPolicy,
@@ -166,37 +171,28 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// Seeds the monitor from the engine's current graph. The `G'` baseline
-    /// starts from that graph's **black** edges only (original and
-    /// adversary-inserted edges, per the model) — healer-installed cloud
-    /// edges never belong to `G'`, so a monitor subscribed mid-run measures
-    /// degree increase against the black subgraph at subscription time, not
-    /// against repairs already in place.
+    /// Seeds the monitor from the engine's current graph. `G'` starts as
+    /// that whole graph, every edge whatever its colour, and grows only
+    /// through [`Monitor::record_insert`]. A monitor subscribed mid-run
+    /// therefore measures degree increase and stretch against the graph it
+    /// was given plus the insertions recorded since.
     pub fn new(initial: &Graph, config: MonitorConfig) -> Self {
         let mut degrees = DegreeHistogram::new();
         let mut black_degrees = DegreeHistogram::new();
         let mut degree_increase = DegreeIncreaseTracker::new();
-        let mut gprime = GPrimeShadow::new();
-        for v in initial.nodes() {
-            gprime.add_node(v);
-        }
-        for (u, w, labels) in initial.edges() {
-            if labels.is_black() {
-                gprime.add_edge(u, w);
-            }
-        }
         for v in initial.nodes() {
             let d = initial.degree(v).expect("live node");
             degrees.transition(None, Some(d));
             black_degrees.transition(None, Some(initial.black_degree(v).expect("live node")));
-            degree_increase.insert(v, d as u32, gprime.degree(v) as u32);
+            degree_increase.insert(v, d as u32, d as u32);
         }
         Monitor {
             csr: IncrementalCsr::new(initial),
             degrees,
             black_degrees,
             degree_increase,
-            gprime,
+            gprime: GPrime::new(initial),
+            unrecorded: 0,
             reservoir: StretchReservoir::new(
                 config.stretch_capacity,
                 config.stretch_window,
@@ -280,14 +276,43 @@ impl Monitor {
         &self.black_degrees
     }
 
-    /// Maintained max degree increase vs `G'` (success metric 1).
-    pub fn degree_increase(&self) -> f64 {
-        self.degree_increase.max()
+    /// Maintained max degree increase vs `G'` (success metric 1). `None`
+    /// while some live node arrived by an insertion the monitor was not
+    /// given: `G'` would be a guess, so no reference metric is reported.
+    pub fn degree_increase(&self) -> Option<f64> {
+        (self.unrecorded == 0).then(|| self.degree_increase.max())
     }
 
-    /// The `G'` shadow the baseline degrees come from.
-    pub fn gprime(&self) -> &GPrimeShadow {
+    /// The insertion-only graph `G'` the baseline degrees come from.
+    pub fn gprime(&self) -> &GPrime {
         &self.gprime
+    }
+
+    /// Records an insertion of the event tape: `node` joins `G'` with an
+    /// edge to each of its `contacts`, and the tracker's baseline degrees
+    /// follow. Call it once per `Event::Insert`, before or after the
+    /// engine's deltas for that event: the monitor ends in the same state
+    /// either way. [`MonitorHook`] calls it for every insertion of a run.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::NodeExists`] when `G'` already holds `node`; the
+    /// monitor is unchanged.
+    pub fn record_insert(&mut self, node: NodeId, contacts: &[NodeId]) -> Result<(), GraphError> {
+        self.gprime.record_insert(node, contacts)?;
+        let gp = self.gprime.graph();
+        if self.csr.degree(node).is_some() {
+            // The engine's deltas came first, so `node` arrived unrecorded.
+            self.unrecorded -= 1;
+            let base = gp.degree(node).expect("just recorded");
+            self.degree_increase.adjust(node, 0, base as i64);
+        }
+        for u in gp.neighbors(node) {
+            if self.csr.degree(u).is_some() {
+                self.degree_increase.adjust(u, 0, 1);
+            }
+        }
+        Ok(())
     }
 
     /// Alerts emitted so far (edge-triggered; see [`HealthPolicy`]).
@@ -355,13 +380,18 @@ impl Monitor {
                 .map(|s| s.expansion)
         };
         done("mon.sweep", 0);
+        let degree_increase = self.degree_increase();
         span("mon.stretch");
-        let sample = self.reservoir.sample(&view, generation);
-        let stretch = sampled_stretch(&view, &self.gprime, &sample);
-        done("mon.stretch", sample.len() as u64);
+        let mut sampled = 0;
+        let stretch = degree_increase.and_then(|_| {
+            let sample = self.reservoir.sample(&view, generation);
+            sampled = sample.len();
+            sampled_stretch(&view, &self.gprime.graph().csr_view(), &sample)
+        });
+        done("mon.stretch", sampled as u64);
         let snap = MetricsSnapshot {
             generation: self.csr.generation(),
-            degree_increase: self.degree_increase.max(),
+            degree_increase,
             spectral_gap: Some(gap.lambda),
             expansion,
             components: Some(components),
@@ -383,7 +413,7 @@ impl Monitor {
             max_degree: self.degrees.max(),
             max_black_degree: self.black_degrees.max(),
             mean_degree: self.degrees.mean(),
-            degree_increase: self.degree_increase.max(),
+            degree_increase,
             components,
             spectral_gap: gap,
             lambda3: gap.lambda3,
@@ -403,9 +433,10 @@ impl Monitor {
             DeltaEffect::NodeAdded(v) => {
                 self.degrees.transition(None, Some(0));
                 self.black_degrees.transition(None, Some(0));
-                self.gprime.add_node(v);
-                self.degree_increase
-                    .insert(v, 0, self.gprime.degree(v) as u32);
+                // Present already when its insertion was recorded first.
+                let base = self.gprime.graph().degree(v);
+                self.unrecorded += usize::from(base.is_none());
+                self.degree_increase.insert(v, 0, base.unwrap_or(0) as u32);
                 self.reservoir.touch(v, generation);
             }
             DeltaEffect::NodeRemoved {
@@ -417,6 +448,7 @@ impl Monitor {
                 self.degrees.transition(Some(degree), None);
                 self.black_degrees.transition(Some(black_degree), None);
                 self.degree_increase.remove(node);
+                self.unrecorded -= usize::from(!self.gprime.graph().contains_node(node));
                 for (u, old_deg, was_black) in neighbors {
                     self.degrees.transition(Some(old_deg), Some(old_deg - 1));
                     if was_black {
@@ -428,13 +460,6 @@ impl Monitor {
                 }
             }
             DeltaEffect::EdgeCreated { a, b, black } => {
-                // Black edges are adversarial insertion edges: they grow
-                // `G'` (the healer only ever installs colored edges).
-                let dbase = if black && self.gprime.add_edge(a, b) {
-                    1
-                } else {
-                    0
-                };
                 for v in [a, b] {
                     let d = self.csr.degree(v).expect("endpoint lives");
                     self.degrees.transition(Some(d - 1), Some(d));
@@ -442,17 +467,15 @@ impl Monitor {
                         let nb = self.csr.black_degree(v).expect("endpoint lives");
                         self.black_degrees.transition(Some(nb - 1), Some(nb));
                     }
-                    self.degree_increase.adjust(v, 1, dbase);
+                    self.degree_increase.adjust(v, 1, 0);
                     self.reservoir.touch(v, generation);
                 }
             }
             DeltaEffect::EdgeRelabeled { a, b, became_black } => {
                 if became_black {
-                    let dbase = if self.gprime.add_edge(a, b) { 1 } else { 0 };
                     for v in [a, b] {
                         let nb = self.csr.black_degree(v).expect("endpoint lives");
                         self.black_degrees.transition(Some(nb - 1), Some(nb));
-                        self.degree_increase.adjust(v, 0, dbase);
                     }
                 }
             }
@@ -480,8 +503,8 @@ impl Monitor {
     }
 
     /// The cheap policy pass: evaluates the maintained metrics (currently
-    /// the degree increase) against the budgets, emitting edge-triggered
-    /// alerts.
+    /// the degree increase, when measured) against the budgets, emitting
+    /// edge-triggered alerts.
     ///
     /// Call this at **event boundaries** — [`MonitorHook`] does it after
     /// every applied event — never per delta: a repair plan strips edges
@@ -494,7 +517,7 @@ impl Monitor {
         let alerts_before = self.alerts.len();
         let snap = MetricsSnapshot {
             generation: self.csr.generation(),
-            degree_increase: self.degree_increase.max(),
+            degree_increase: self.degree_increase(),
             spectral_gap: None,
             expansion: None,
             components: None,
@@ -512,9 +535,14 @@ impl TopologySink for Monitor {
 }
 
 /// Adapter plugging a shared [`Monitor`] into
-/// `xheal_workload::run_observed`: checkpoints every `checkpoint_every`
-/// events (0 disables) and records drained alerts as per-event
-/// [`HealthNote`]s in the `RunSummary`.
+/// `xheal_workload::run_observed`: records each insertion of the tape into
+/// the monitor's `G'`, checkpoints every `checkpoint_every` events (0
+/// disables) and records drained alerts as per-event [`HealthNote`]s in the
+/// `RunSummary`.
+///
+/// It is also the arena's monitor-backed [`ArenaScorer`]: `attach`
+/// subscribes the monitor to the engine, and `finish` checkpoints once
+/// more and reports the final graph's quality against the tape's `G'`.
 #[derive(Debug)]
 pub struct MonitorHook {
     monitor: Rc<RefCell<Monitor>>,
@@ -532,11 +560,33 @@ impl MonitorHook {
             notes: Vec::new(),
         }
     }
+
+    /// A hook over a fresh monitor of `initial` with λ₃ tracked: the arena
+    /// scorer. Build it over the engine's post-construction graph (for DEX
+    /// that is its bootstrap projection), so `G'` starts where the run does.
+    pub fn scorer(initial: &Graph, checkpoint_every: usize) -> Self {
+        let config = MonitorConfig {
+            track_lambda3: true,
+            ..MonitorConfig::default()
+        };
+        let monitor = Rc::new(RefCell::new(Monitor::new(initial, config)));
+        MonitorHook::new(monitor, checkpoint_every)
+    }
+
+    /// The shared monitor handle.
+    pub fn monitor(&self) -> &Rc<RefCell<Monitor>> {
+        &self.monitor
+    }
 }
 
 impl RunObserver for MonitorHook {
-    fn on_event(&mut self, step: usize, _event: &Event, _outcome: &Outcome, graph: &Graph) {
+    fn on_event(&mut self, step: usize, event: &Event, _outcome: &Outcome, graph: &Graph) {
         let mut monitor = self.monitor.borrow_mut();
+        if let Event::Insert { node, neighbors } = event {
+            monitor
+                .record_insert(*node, neighbors)
+                .expect("the tape inserts each node once");
+        }
         debug_assert_eq!(
             (monitor.node_count(), monitor.edge_count()),
             (graph.node_count(), graph.edge_count()),
@@ -573,6 +623,41 @@ impl RunObserver for MonitorHook {
     }
 }
 
+impl ArenaScorer for MonitorHook {
+    fn attach(&mut self, engine: &mut dyn HealingEngine) {
+        engine.subscribe(Box::new(Rc::clone(&self.monitor)));
+    }
+
+    /// Checkpoints once more and reports the final quality. The stretch is
+    /// exact: the maximum over all live pairs, from
+    /// `xheal_metrics::stretch` against `G'`, not the checkpoint's sample.
+    fn finish(&mut self, graph: &Graph, summary: &RunSummary) -> ArenaQuality {
+        let mut m = self.monitor.borrow_mut();
+        assert_eq!(
+            (m.node_count(), m.edge_count()),
+            (graph.node_count(), graph.edge_count()),
+            "monitor drifted from the engine graph"
+        );
+        let report = m.checkpoint();
+        let notes = |s| summary.health.iter().filter(|n| n.severity == s).count();
+        ArenaQuality {
+            max_degree: report.max_degree,
+            degree_increase: report.degree_increase,
+            // Like the degree increase, `None` unless `G'` holds every
+            // live node.
+            stretch: report
+                .degree_increase
+                .and_then(|_| stretch(graph, m.gprime().graph(), graph.node_count(), 0)),
+            expansion: report.expansion,
+            spectral_gap: Some(report.spectral_gap.lambda),
+            lambda3: report.lambda3,
+            components: report.components,
+            warn_notes: notes(Severity::Warning),
+            critical_notes: notes(Severity::Critical),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,7 +666,7 @@ mod tests {
     use xheal_graph::{generators, NodeId};
     use xheal_metrics::degree_increase;
     use xheal_spectral::normalized_algebraic_connectivity;
-    use xheal_workload::{run_observed, RandomChurn, Severity};
+    use xheal_workload::{run_observed, Adversary, RandomChurn, Severity};
 
     fn n(raw: u64) -> NodeId {
         NodeId::new(raw)
@@ -605,11 +690,13 @@ mod tests {
     }
 
     /// Drives `events` events from `next_event` through `Xheal` with a
-    /// subscribed monitor. After every event the maintained counts,
-    /// histograms and degree increase must equal a recount; every
-    /// `checkpoint_every` events the checkpoint must see one component and
-    /// a warm λ₂ within 1e-6 of the cold `normalized_algebraic_connectivity`,
-    /// converged below the 1e-9 residual tolerance.
+    /// subscribed monitor, handing each insertion to the monitor after the
+    /// engine applied it, as [`MonitorHook`] does. After every event the
+    /// maintained counts, histograms and degree increase must equal a
+    /// recount; every `checkpoint_every` events the checkpoint must see one
+    /// component and a warm λ₂ within 1e-6 of the cold
+    /// `normalized_algebraic_connectivity`, converged below the 1e-9
+    /// residual tolerance.
     fn assert_tracks_churn(
         g0: &Graph,
         config: XhealConfig,
@@ -625,19 +712,20 @@ mod tests {
         let mut gp = xheal_metrics::GPrime::new(g0);
         for step in 0..events {
             let event = next_event(net.graph(), step);
-            if let Event::Insert { node, neighbors } = &event {
-                gp.record_insert(*node, neighbors).unwrap();
-            }
             net.apply(&event).unwrap();
             let mut m = monitor.borrow_mut();
+            if let Event::Insert { node, neighbors } = &event {
+                gp.record_insert(*node, neighbors).unwrap();
+                m.record_insert(*node, neighbors).unwrap();
+            }
             assert_eq!(m.node_count(), net.graph().node_count(), "step {step}");
             assert_eq!(m.edge_count(), net.graph().edge_count(), "step {step}");
             assert_histograms_match(&m, net.graph());
             let expect = degree_increase(net.graph(), gp.graph());
+            let maintained = m.degree_increase().expect("every insertion recorded");
             assert!(
-                (m.degree_increase() - expect).abs() < 1e-12,
-                "step {step}: maintained {} vs recomputed {expect}",
-                m.degree_increase()
+                (maintained - expect).abs() < 1e-12,
+                "step {step}: maintained {maintained} vs recomputed {expect}"
             );
             if (step + 1) % checkpoint_every == 0 {
                 let report = m.checkpoint();
@@ -872,6 +960,96 @@ mod tests {
             split > 0 && split < checkpoints,
             "{split} of {checkpoints} split"
         );
+    }
+
+    #[test]
+    fn recording_before_or_after_the_deltas_ends_in_one_state() {
+        // Two monitors on one engine: `early` is handed each insertion
+        // before the engine applies it, `late` after.
+        let g0 = generators::random_regular(40, 4, &mut StdRng::seed_from_u64(3));
+        let early = Rc::new(RefCell::new(Monitor::new(&g0, MonitorConfig::default())));
+        let late = Rc::new(RefCell::new(Monitor::new(&g0, MonitorConfig::default())));
+        let mut net = Xheal::builder()
+            .kappa(4)
+            .seed(5)
+            .sink(Box::new(Rc::clone(&early)))
+            .sink(Box::new(Rc::clone(&late)))
+            .build(&g0);
+        let mut adv = RandomChurn::new(0.5, 3, 8, &g0);
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut inserts = 0;
+        for step in 0..80 {
+            let event = adv
+                .next_event(net.graph(), &mut rng)
+                .expect("churn never ends");
+            let record = |m: &RefCell<Monitor>| {
+                if let Event::Insert { node, neighbors } = &event {
+                    m.borrow_mut().record_insert(*node, neighbors).unwrap();
+                }
+            };
+            record(&early);
+            net.apply(&event).unwrap();
+            record(&late);
+            inserts += usize::from(!event.is_delete());
+            let (a, b) = (early.borrow(), late.borrow());
+            assert_eq!(a.degree_increase, b.degree_increase, "step {step}");
+            assert_eq!(a.unrecorded, 0, "step {step}");
+            assert_eq!(b.unrecorded, 0, "step {step}");
+            assert_eq!(a.gprime.graph(), b.gprime.graph(), "step {step}");
+            assert_eq!(a.csr.graph(), b.csr.graph(), "step {step}");
+            assert_eq!(a.degree_increase(), b.degree_increase(), "step {step}");
+        }
+        assert!(inserts > 20, "{inserts} insertions");
+    }
+
+    #[test]
+    fn a_bare_sink_reports_no_reference_metrics_after_an_insertion() {
+        let g0 = generators::ring_with_chords(24);
+        let config = MonitorConfig {
+            policy: HealthPolicy {
+                max_degree_increase: Some(1.0),
+                ..HealthPolicy::default()
+            },
+            ..MonitorConfig::default()
+        };
+        let monitor = Rc::new(RefCell::new(Monitor::new(&g0, config)));
+        let mut net = Xheal::builder()
+            .kappa(4)
+            .seed(1)
+            .sink(Box::new(Rc::clone(&monitor)))
+            .build(&g0);
+        // Deletions leave `G'` whole: both reference metrics are measured,
+        // and the repairs breach the budget.
+        for v in [3, 4] {
+            net.apply(&Event::Delete { node: n(v) }).unwrap();
+        }
+        {
+            let mut m = monitor.borrow_mut();
+            let report = m.checkpoint();
+            assert!(report.degree_increase.is_some_and(|d| d > 1.0));
+            assert!(report.stretch.is_some());
+            assert_eq!(m.degree_increase(), report.degree_increase);
+            assert_eq!(m.breaches.band(MetricKind::DegreeIncrease), Band::Breach);
+        }
+        // An insertion nobody hands to the monitor: it reports no reference
+        // metric, and the policy holds its degree band.
+        net.apply(&Event::Insert {
+            node: n(100),
+            neighbors: vec![n(0), n(10)],
+        })
+        .unwrap();
+        let mut m = monitor.borrow_mut();
+        assert_eq!(m.degree_increase(), None);
+        let alerts = m.alerts().len();
+        m.evaluate_policy();
+        let report = m.checkpoint();
+        assert_eq!((report.degree_increase, report.stretch), (None, None));
+        assert_eq!(
+            m.alerts().len(),
+            alerts,
+            "no recovery from an unmeasured metric"
+        );
+        assert_eq!(m.breaches.band(MetricKind::DegreeIncrease), Band::Breach);
     }
 
     #[test]

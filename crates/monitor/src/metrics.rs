@@ -94,7 +94,7 @@ impl DegreeHistogram {
 /// Maintained `max_v deg_G(v) / deg_{G'}(v)` over live nodes with nonzero
 /// baseline degree — the paper's success metric 1, kept as an ordered
 /// multiset of ratios so the max survives decrements (O(log n) per delta).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DegreeIncreaseTracker {
     /// live degree, baseline (`G'`) degree per live node.
     degrees: FxHashMap<NodeId, (u32, u32)>,
@@ -245,75 +245,6 @@ impl StretchReservoir {
     }
 }
 
-/// The monitor's append-only shadow of the insertion-only reference graph
-/// `G'`, grown from black-edge deltas and never shrunk (deletions do not
-/// touch `G'`, per the model). Each node gets a dense slot on arrival, so
-/// the adjacency is plain vectors and a BFS needs no map.
-#[derive(Clone, Debug, Default)]
-pub struct GPrimeShadow {
-    /// Dense slot of every node `G'` ever held.
-    slots: FxHashMap<NodeId, u32>,
-    /// Neighbour slots, indexed by slot.
-    adj: Vec<Vec<u32>>,
-    /// Number of recorded edges.
-    edges: usize,
-}
-
-impl GPrimeShadow {
-    /// Empty shadow.
-    pub fn new() -> Self {
-        GPrimeShadow::default()
-    }
-
-    /// The slot of `v`, assigned on first sight.
-    fn slot_or_insert(&mut self, v: NodeId) -> u32 {
-        let next = u32::try_from(self.adj.len()).expect("G' holds fewer than 2^32 nodes");
-        let slot = *self.slots.entry(v).or_insert(next);
-        if slot == next {
-            self.adj.push(Vec::new());
-        }
-        slot
-    }
-
-    /// Registers a node (idempotent).
-    pub fn add_node(&mut self, v: NodeId) {
-        self.slot_or_insert(v);
-    }
-
-    /// Records an insertion edge; returns `false` (and changes nothing) on
-    /// duplicates.
-    pub fn add_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        let (sa, sb) = (self.slot_or_insert(a), self.slot_or_insert(b));
-        if self.adj[sa as usize].contains(&sb) {
-            return false;
-        }
-        self.adj[sa as usize].push(sb);
-        self.adj[sb as usize].push(sa);
-        self.edges += 1;
-        true
-    }
-
-    /// Baseline degree of `v` (0 if never seen).
-    pub fn degree(&self, v: NodeId) -> usize {
-        self.slots
-            .get(&v)
-            .map_or(0, |&s| self.adj[s as usize].len())
-    }
-
-    /// Number of nodes ever seen.
-    pub fn node_count(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Number of recorded insertion edges. A shadow with zero edges marks
-    /// a *reference-free* engine (e.g. one that rebuilds its topology from
-    /// membership alone and never installs black edges): every
-    /// reference-relative metric is vacuous then.
-    pub fn edge_count(&self) -> usize {
-        self.edges
-    }
-}
-
 /// BFS from `source` over `neighbors`, writing hop counts into `dist`
 /// (`u32::MAX` where unreached) and stopping after the first level at which
 /// every node in `targets` has its distance. Distances it writes are final.
@@ -347,21 +278,21 @@ fn bfs_until<'a>(
 }
 
 /// Max stretch over the sampled sources/targets: BFS in the live CSR vs
-/// BFS in the `G'` shadow (dead nodes are traversed there — a baseline
-/// shortest path may run through them, per the model), `f64::INFINITY`
-/// when a baseline-connected pair is disconnected live (a healing failure).
+/// BFS in `G'`'s CSR (dead nodes are traversed there — a baseline shortest
+/// path may run through them, per the model), `f64::INFINITY` when a
+/// baseline-connected pair is disconnected live (a healing failure).
 /// `None` when no comparable pair exists in the sample. Sampled nodes
 /// absent from the live graph (stale caller-built samples) are skipped,
 /// not fatal. Each BFS stops once it has reached the sampled nodes it
 /// compares against.
-pub fn sampled_stretch(csr: &CsrView, gprime: &GPrimeShadow, sample: &[NodeId]) -> Option<f64> {
-    // Each sampled node with its live index and its `G'` slot.
+pub fn sampled_stretch(csr: &CsrView, gprime: &CsrView, sample: &[NodeId]) -> Option<f64> {
+    // Each sampled node with its live index and its `G'` index.
     let located: Vec<(NodeId, Option<usize>, Option<u32>)> = sample
         .iter()
-        .map(|&v| (v, csr.index_of(v), gprime.slots.get(&v).copied()))
+        .map(|&v| (v, csr.index_of(v), gprime.index_of(v).map(|i| i as u32)))
         .collect();
     let mut live_dist = vec![u32::MAX; csr.len()];
-    let mut base_dist = vec![u32::MAX; gprime.node_count()];
+    let mut base_dist = vec![u32::MAX; gprime.len()];
     let mut queue: VecDeque<u32> = VecDeque::new();
     let mut targets: Vec<u32> = Vec::new();
     // (live index, baseline distance) of each pair compared against `s`.
@@ -381,7 +312,13 @@ pub fn sampled_stretch(csr: &CsrView, gprime: &GPrimeShadow, sample: &[NodeId]) 
         if targets.is_empty() {
             continue;
         }
-        bfs_until(ss, |u| &gprime.adj[u], &targets, &mut base_dist, &mut queue);
+        bfs_until(
+            ss,
+            |u| gprime.neighbors_of(u),
+            &targets,
+            &mut base_dist,
+            &mut queue,
+        );
         pairs.clear();
         for &(t, ti, ts) in &located {
             let (Some(ti), Some(ts)) = (ti, ts) else {
@@ -415,51 +352,12 @@ pub fn sampled_stretch(csr: &CsrView, gprime: &GPrimeShadow, sample: &[NodeId]) 
     worst
 }
 
-/// Connected-component count of a CSR snapshot (one dense BFS sweep; the
-/// checkpoint-time connectivity check).
-pub fn component_count(csr: &CsrView) -> usize {
-    let n = csr.len();
-    let mut seen = vec![false; n];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut components = 0;
-    for root in 0..n {
-        if seen[root] {
-            continue;
-        }
-        components += 1;
-        seen[root] = true;
-        queue.push_back(root);
-        while let Some(u) = queue.pop_front() {
-            for &w in csr.neighbors_of(u) {
-                let w = w as usize;
-                if !seen[w] {
-                    seen[w] = true;
-                    queue.push_back(w);
-                }
-            }
-        }
-    }
-    components
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn n(raw: u64) -> NodeId {
         NodeId::new(raw)
-    }
-
-    #[test]
-    fn component_count_counts() {
-        use xheal_graph::{generators, Graph};
-        assert_eq!(component_count(&Graph::new().csr_view()), 0);
-        let mut g = generators::cycle(5);
-        assert_eq!(component_count(&g.csr_view()), 1);
-        g.add_node(n(50)).unwrap();
-        g.add_node(n(51)).unwrap();
-        g.add_black_edge(n(50), n(51)).unwrap();
-        assert_eq!(component_count(&g.csr_view()), 2);
     }
 
     #[test]
@@ -528,26 +426,22 @@ mod tests {
     }
 
     #[test]
-    fn gprime_shadow_bfs_runs_through_dead_nodes() {
-        // G' = star around 0; live graph lost the hub.
-        let mut gp = GPrimeShadow::new();
-        for i in 0..5 {
-            gp.add_node(n(i));
+    fn sampled_stretch_runs_through_dead_gprime_nodes() {
+        use xheal_graph::generators;
+        // G' = star around 0; the live graph lost the hub and rewired the
+        // leaves into the path 1-2-3-4.
+        let gp = generators::star(5);
+        let mut live = gp.clone();
+        live.remove_node(n(0)).unwrap();
+        for leaf in 1..4 {
+            live.add_black_edge(n(leaf), n(leaf + 1)).unwrap();
         }
-        for leaf in 1..5 {
-            assert!(gp.add_edge(n(0), n(leaf)));
-        }
-        assert!(!gp.add_edge(n(0), n(1)), "duplicate rejected");
+        // Leaf to leaf is 2 in G', through the dead hub; the worst pair,
+        // (1, 4), is 3 live.
+        let sample: Vec<NodeId> = live.node_vec();
         assert_eq!(
-            (gp.node_count(), gp.edge_count(), gp.degree(n(0))),
-            (5, 4, 4)
-        );
-        let (from, to) = (gp.slots[&n(1)], gp.slots[&n(2)]);
-        let mut dist = vec![0; gp.node_count()];
-        bfs_until(from, |u| &gp.adj[u], &[to], &mut dist, &mut VecDeque::new());
-        assert_eq!(
-            dist[to as usize], 2,
-            "leaf-to-leaf runs through the dead hub"
+            sampled_stretch(&live.csr_view(), &gp.csr_view(), &sample),
+            Some(1.5)
         );
     }
 
@@ -555,18 +449,13 @@ mod tests {
     fn sampled_stretch_matches_hand_example() {
         use xheal_graph::generators;
         // G' is a 6-cycle; live graph lost edge (0,5): dist(0,5) 1 -> 5.
-        let gp_graph = generators::cycle(6);
-        let mut gp = GPrimeShadow::new();
-        for v in gp_graph.nodes() {
-            gp.add_node(v);
-        }
-        for (u, v, _) in gp_graph.edges() {
-            gp.add_edge(u, v);
-        }
-        let mut live = gp_graph.clone();
+        let gp = generators::cycle(6);
+        let mut live = gp.clone();
         live.remove_edge(n(0), n(5)).unwrap();
-        let csr = live.csr_view();
         let sample: Vec<NodeId> = live.node_vec();
-        assert_eq!(sampled_stretch(&csr, &gp, &sample), Some(5.0));
+        assert_eq!(
+            sampled_stretch(&live.csr_view(), &gp.csr_view(), &sample),
+            Some(5.0)
+        );
     }
 }

@@ -6,9 +6,9 @@
 //! every flavor over one initial graph ([`standard_registry`] knows all ten),
 //! drive each through the same seeded schedules ([`ArenaSchedule::standard`]
 //! gives uniform churn, clustered bursts, and insert-heavy growth), and
-//! score each run with an [`ArenaScorer`] — `xheal-monitor` implements one
-//! live on degree increase, stretch, expansion, and spectral gap; the
-//! dependency-free [`NoScorer`] records topology basics only.
+//! score each run with an [`ArenaScorer`] — `xheal-monitor`'s `MonitorHook`
+//! is the one that scores degree increase, stretch, expansion, and spectral
+//! gap; the dependency-free [`NoScorer`] records topology basics only.
 //!
 //! The output [`ArenaMatrix`] is healing *cost* (rounds, messages, edge
 //! operations) against invariant *quality* per engine per adversary — the
@@ -23,10 +23,10 @@
 //!   topology, so victim *sets* legitimately differ per engine while the
 //!   burst cadence and seeds stay fixed.
 //! - Reference-relative metrics (degree increase, stretch) are scored
-//!   against each engine's own reference graph: the engine's graph at
-//!   attach time plus black insertion edges. For nine engines that is the
-//!   shared `G'`; DEX rebuilds topology at construction, so its reference
-//!   is its own bootstrap projection.
+//!   against `G'`: the engine's graph at attach time plus the tape's
+//!   insertions, the same `G'` as [`RunSummary::gprime`]. For nine engines
+//!   that graph starts from the shared `g0`; DEX rebuilds topology at
+//!   construction, so its `G'` starts from its own bootstrap projection.
 //!
 //! # Examples
 //!
@@ -138,7 +138,8 @@ pub struct ArenaQuality {
     /// Worst degree over the engine's reference-graph degree (the paper's
     /// degree-increase metric), when the scorer tracks a reference.
     pub degree_increase: Option<f64>,
-    /// Sampled stretch of reference adjacency in the final graph.
+    /// Stretch of the final graph against `G'`, when the scorer tracks a
+    /// reference.
     pub stretch: Option<f64>,
     /// Edge-expansion estimate of the final graph.
     pub expansion: Option<f64>,
@@ -169,7 +170,7 @@ pub trait ArenaScorer: RunObserver {
 
 /// The dependency-free scorer: records final topology basics (max degree,
 /// components, note counts) and measures nothing reference-relative or
-/// spectral. The monitor-backed scorer lives with the arena bench bin.
+/// spectral. The monitor-backed scorer is `xheal_monitor::MonitorHook`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoScorer;
 
@@ -188,7 +189,7 @@ impl ArenaScorer for NoScorer {
                 .filter_map(|&v| graph.degree(v))
                 .max()
                 .unwrap_or(0),
-            components: components::components(graph).len(),
+            components: components::component_count(&graph.csr_view()),
             warn_notes: summary
                 .health
                 .iter()

@@ -1,5 +1,5 @@
-//! Drives a healing engine through an adversary's events, tracking `G'`
-//! alongside and aggregating the structured outcomes.
+//! Drives a healing engine through an adversary's events, recording `G'`
+//! from the tape alongside and aggregating the structured outcomes.
 
 use std::fmt;
 
@@ -8,6 +8,7 @@ use rand::SeedableRng;
 
 use xheal_core::{Event, HealingEngine, Outcome};
 use xheal_graph::Graph;
+use xheal_metrics::GPrime;
 
 use crate::adversary::Adversary;
 
@@ -72,8 +73,9 @@ impl RunObserver for NoObserver {
 /// the costs aggregated from every applied event's [`Outcome`].
 #[derive(Clone, Debug)]
 pub struct RunSummary {
-    /// The insertion-only graph `G'` after the run.
-    pub gprime: Graph,
+    /// The insertion-only graph `G'` after the run: the engine's graph at
+    /// the start plus every insertion of the tape.
+    pub gprime: GPrime,
     /// Events applied (in order).
     pub events: Vec<Event>,
     /// Number of insertions applied.
@@ -102,7 +104,7 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    fn new(gprime: Graph) -> Self {
+    fn new(gprime: GPrime) -> Self {
         RunSummary {
             gprime,
             events: Vec::new(),
@@ -131,10 +133,9 @@ impl RunSummary {
                 let Event::Insert { node, neighbors } = event else {
                     unreachable!("engines report Inserted only for Event::Insert");
                 };
-                self.gprime.add_node(*node).expect("fresh in gprime");
-                for &u in neighbors {
-                    let _ = self.gprime.add_black_edge(*node, u);
-                }
+                self.gprime
+                    .record_insert(*node, neighbors)
+                    .expect("fresh in gprime");
                 self.insertions += 1;
                 if let Some(c) = cost {
                     self.insert_rounds += c.rounds;
@@ -194,7 +195,7 @@ pub fn run_observed<E: HealingEngine + ?Sized>(
     observer: &mut dyn RunObserver,
 ) -> RunSummary {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut summary = RunSummary::new(engine.graph().clone());
+    let mut summary = RunSummary::new(GPrime::new(engine.graph()));
 
     for step in 0..steps {
         let Some(event) = adversary.next_event(engine.graph(), &mut rng) else {
@@ -243,7 +244,7 @@ mod tests {
         assert_eq!(summary.insertions + summary.deletions, summary.events.len());
         assert_eq!(summary.events.len(), 40);
         // G' has exactly initial + inserted nodes.
-        assert_eq!(summary.gprime.node_count(), 20 + summary.insertions);
+        assert_eq!(summary.gprime.graph().node_count(), 20 + summary.insertions);
         assert!(components::is_connected(healer.graph()));
         // Aggregates mirror the healer's own statistics.
         assert_eq!(summary.edges_added, healer.stats().edges_added);

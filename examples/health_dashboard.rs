@@ -77,7 +77,7 @@ fn main() {
         report.max_degree,
         fmt(report.mean_degree),
         report.max_black_degree,
-        fmt(report.degree_increase)
+        report.degree_increase.map_or("n/a".into(), fmt)
     );
     println!(
         "components {}   spectral gap {} ({} restart cycles)   lambda3 {}   expansion {}   stretch {}",

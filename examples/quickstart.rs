@@ -29,15 +29,18 @@ fn main() {
         summary.insertions, summary.deletions
     );
     describe("healed network G_t", healer.graph());
-    describe("reference network G'_t (insertions only)", &summary.gprime);
+    describe(
+        "reference network G'_t (insertions only)",
+        summary.gprime.graph(),
+    );
 
     // 4. The paper's success metrics.
     banner("success metrics (Figure 1 of the paper)");
     println!(
         "degree increase (metric 1):  {}  [Thm 2.1 bound: kappa*d' + 2k]",
-        fmt(degree_increase(healer.graph(), &summary.gprime))
+        fmt(degree_increase(healer.graph(), summary.gprime.graph()))
     );
-    let s = stretch(healer.graph(), &summary.gprime, 150, 8).unwrap_or(f64::INFINITY);
+    let s = stretch(healer.graph(), summary.gprime.graph(), 150, 8).unwrap_or(f64::INFINITY);
     println!(
         "network stretch (metric 3):  {}  [Thm 2.2 bound: O(log n)]",
         fmt(s)

@@ -35,7 +35,7 @@ fn main() {
     for mut healer in healers {
         let mut adversary = DeleteOnly::new(Targeting::Articulation, keep);
         let summary = run(healer.as_mut(), &mut adversary, deletions, 1);
-        let s = stretch(healer.graph(), &summary.gprime, 130, 8).unwrap_or(f64::INFINITY);
+        let s = stretch(healer.graph(), summary.gprime.graph(), 130, 8).unwrap_or(f64::INFINITY);
         println!(
             "{:<20}{:>10}{:>14}{:>12}{:>14}",
             healer.name(),

@@ -1,21 +1,22 @@
 //! Cross-crate arena integration: DEX invariants under arbitrary churn
-//! (property tests) and the ten-engine arena harness end to end, including
-//! a monitor-backed scorer so every engine's delta stream is checked in
-//! debug mode.
+//! (property tests) and the ten-engine arena harness end to end, scored by
+//! the monitor-backed `MonitorHook` so every engine's delta stream is
+//! checked in debug mode and every engine is scored against the tape's `G'`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
+use xheal_baselines::StarHeal;
 use xheal_core::{DeltaMirror, Event, HealingEngine, Outcome};
 use xheal_dex::{Dex, DexConfig};
-use xheal_graph::{components, generators, Graph};
-use xheal_monitor::{Monitor, MonitorConfig, MonitorHook};
+use xheal_graph::{components, generators, Graph, NodeId};
+use xheal_metrics::{degree_increase, stretch};
+use xheal_monitor::MonitorHook;
 use xheal_workload::{
-    replay, run, run_arena, run_observed, standard_registry, ArenaQuality, ArenaSchedule,
-    ArenaScorer, BurstDeletions, HealthNote, NoScorer, RandomChurn, RunObserver, RunSummary,
-    Severity,
+    replay, run, run_arena, run_observed, standard_registry, ArenaSchedule, ArenaScorer,
+    BurstDeletions, NoScorer, RandomChurn, RunObserver, Scripted,
 };
 
 /// Observer asserting DEX's hard invariants after every applied event:
@@ -131,70 +132,6 @@ proptest! {
     }
 }
 
-/// Monitor-backed scorer (mirrors the arena bench bin's): exercises every
-/// engine's delta stream against the monitor's drift `debug_assert`s.
-struct MonitorScorer {
-    monitor: Rc<RefCell<Monitor>>,
-    hook: MonitorHook,
-}
-
-impl MonitorScorer {
-    fn new(initial: &Graph) -> Self {
-        let config = MonitorConfig {
-            track_lambda3: true,
-            ..MonitorConfig::default()
-        };
-        let monitor = Rc::new(RefCell::new(Monitor::new(initial, config)));
-        let hook = MonitorHook::new(Rc::clone(&monitor), 8);
-        MonitorScorer { monitor, hook }
-    }
-}
-
-impl RunObserver for MonitorScorer {
-    fn on_event(&mut self, step: usize, event: &Event, outcome: &Outcome, graph: &Graph) {
-        self.hook.on_event(step, event, outcome, graph);
-    }
-
-    fn drain_notes(&mut self) -> Vec<HealthNote> {
-        self.hook.drain_notes()
-    }
-}
-
-impl ArenaScorer for MonitorScorer {
-    fn attach(&mut self, engine: &mut dyn HealingEngine) {
-        engine.subscribe(Box::new(Rc::clone(&self.monitor)));
-    }
-
-    fn finish(&mut self, graph: &Graph, summary: &RunSummary) -> ArenaQuality {
-        let mut m = self.monitor.borrow_mut();
-        assert_eq!(
-            (m.node_count(), m.edge_count()),
-            (graph.node_count(), graph.edge_count()),
-            "monitor drifted from the engine graph"
-        );
-        let report = m.checkpoint();
-        ArenaQuality {
-            max_degree: report.max_degree,
-            degree_increase: Some(report.degree_increase),
-            stretch: report.stretch,
-            expansion: report.expansion,
-            spectral_gap: Some(report.spectral_gap.lambda),
-            lambda3: report.lambda3,
-            components: report.components,
-            warn_notes: summary
-                .health
-                .iter()
-                .filter(|h| h.severity == Severity::Warning)
-                .count(),
-            critical_notes: summary
-                .health
-                .iter()
-                .filter(|h| h.severity == Severity::Critical)
-                .count(),
-        }
-    }
-}
-
 /// The full ten-engine arena with the dependency-free scorer: every cell
 /// present, every engine driven through every schedule.
 #[test]
@@ -219,7 +156,7 @@ fn monitor_scored_arena_is_consistent_for_every_engine() {
     let g0 = generators::ring_with_chords(26);
     let reg = standard_registry(4);
     let matrix = run_arena(&reg, &ArenaSchedule::standard(12), &g0, 23, |_, _, g| {
-        MonitorScorer::new(g)
+        MonitorHook::scorer(g, 8)
     });
     assert!(matrix.is_complete());
     let dex_bound = DexConfig::default().degree * DexConfig::default().max_load;
@@ -239,4 +176,84 @@ fn monitor_scored_arena_is_consistent_for_every_engine() {
             assert!(q.max_degree <= dex_bound);
         }
     }
+}
+
+/// Every engine on every standard schedule is scored against the tape's
+/// `G'`: the monitor's degree increase equals the recount against
+/// `RunSummary::gprime`, and the scorer's stretch is the exact all-pairs
+/// stretch against it. Engines that install black repair edges, and DEX,
+/// which colours every edge, are no exception.
+#[test]
+fn every_engine_is_scored_against_the_tape_gprime() {
+    let g0 = generators::ring_with_chords(26);
+    let reg = standard_registry(4);
+    for sched in ArenaSchedule::standard(12) {
+        for key in reg.keys() {
+            let ctx = format!("{key}/{}", sched.name);
+            let mut engine = reg.build(key, &g0, 23).expect("registered key");
+            let mut hook = MonitorHook::scorer(engine.graph(), 8);
+            hook.attach(engine.as_mut());
+            let mut adversary = sched.adversary(&g0);
+            let summary = run_observed(
+                engine.as_mut(),
+                adversary.as_mut(),
+                sched.steps,
+                sched.seed(23),
+                &mut hook,
+            );
+            let (graph, tape) = (engine.graph(), summary.gprime.graph());
+            let want = degree_increase(graph, tape);
+            let got = hook.monitor().borrow().degree_increase();
+            assert!(
+                got.is_some_and(|d| (d - want).abs() < 1e-12),
+                "{ctx}: monitor {got:?} vs tape {want}"
+            );
+            let quality = hook.finish(graph, &summary);
+            assert_eq!(quality.degree_increase, got, "{ctx}");
+            assert_eq!(
+                quality.stretch,
+                stretch(graph, tape, graph.node_count(), 0),
+                "{ctx}"
+            );
+        }
+    }
+}
+
+/// star-heal patches a deleted hub with black edges. None of them may
+/// enter the monitor's `G'`, which must hold the tape's nodes and edges
+/// exactly.
+#[test]
+fn star_heal_repair_edges_stay_out_of_gprime() {
+    let n = NodeId::new;
+    let g0 = generators::star(12);
+    let mut engine = StarHeal::new(&g0);
+    let mut hook = MonitorHook::scorer(engine.graph(), 0);
+    hook.attach(&mut engine);
+    let mut tape = Scripted::new(vec![
+        Event::Insert {
+            node: n(12),
+            neighbors: vec![n(3)],
+        },
+        Event::Delete { node: n(0) },
+    ]);
+    let summary = run_observed(&mut engine, &mut tape, 2, 0, &mut hook);
+    let monitor = hook.monitor().borrow();
+    let (mine, tape) = (monitor.gprime().graph(), summary.gprime.graph());
+    let edges = |g: &Graph| {
+        let mut e: Vec<(NodeId, NodeId)> = g.edges().map(|(u, v, _)| (u, v)).collect();
+        e.sort_unstable();
+        e
+    };
+    assert_eq!(mine.node_vec(), tape.node_vec());
+    assert_eq!(edges(mine), edges(tape));
+    let repairs: Vec<(NodeId, NodeId)> = edges(engine.graph())
+        .into_iter()
+        .filter(|&(u, v)| !tape.has_edge(u, v))
+        .collect();
+    assert!(!repairs.is_empty(), "star-heal repaired the hub");
+    assert!(repairs.iter().all(|&(u, v)| !mine.has_edge(u, v)));
+    assert_eq!(
+        monitor.degree_increase(),
+        Some(degree_increase(engine.graph(), tape))
+    );
 }

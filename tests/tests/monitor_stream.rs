@@ -6,14 +6,16 @@
 //! component-parallel executor, including a subscription that starts
 //! mid-run. The companion property pins the monitor's O(1)-maintained
 //! degree histograms and degree-increase metric against from-scratch
-//! recounts on the same schedule.
+//! recounts on the same schedule, for Xheal, star-heal and DEX.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use xheal_baselines::StarHeal;
 use xheal_core::{Event, HealingEngine, Xheal, XhealConfig};
+use xheal_dex::{Dex, DexConfig};
 use xheal_dist::{DistXheal, Msg};
 use xheal_graph::{generators, CsrView, Graph, NodeId};
 use xheal_metrics::{degree_increase, GPrime};
@@ -193,7 +195,10 @@ proptest! {
 
     /// The monitor's maintained degree/black-degree histograms and degree
     /// increase equal from-scratch recounts after every event of a mixed
-    /// churn schedule (the satellite pin).
+    /// churn schedule (the satellite pin), for Xheal, star-heal (black
+    /// repair edges) and DEX (every edge coloured). Each insertion is handed
+    /// to the monitor after the engine applied it, as `MonitorHook` does,
+    /// and `G'` is recounted from the same tape.
     #[test]
     fn maintained_metrics_match_recounts_under_mixed_churn(
         seed in any::<u64>(),
@@ -204,49 +209,56 @@ proptest! {
             0.18,
             &mut StdRng::seed_from_u64(seed),
         );
-        let monitor = Rc::new(RefCell::new(Monitor::new(&g0, MonitorConfig::default())));
-        let mut net = Xheal::builder()
-            .config(XhealConfig::new(4).with_seed(seed ^ 0xD06))
-            .sink(Box::new(Rc::clone(&monitor)))
-            .build(&g0);
-        let mut gp = GPrime::new(&g0);
-        let mut adv_rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-        let mut next_id = 30_000u64;
-        for step in 0..steps {
-            let event = next_event(net.graph(), &mut adv_rng, &mut next_id);
-            if let Event::Insert { node, neighbors } = &event {
-                gp.record_insert(*node, neighbors)
-                    .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let engines: [Box<dyn HealingEngine>; 3] = [
+            Box::new(Xheal::new(&g0, XhealConfig::new(4).with_seed(seed ^ 0xD06))),
+            Box::new(StarHeal::new(&g0)),
+            Box::new(Dex::new(&g0, DexConfig { seed: seed ^ 0xDE7, ..DexConfig::default() })),
+        ];
+        for mut net in engines {
+            // DEX rebuilds its topology at construction; the monitor and `G'`
+            // both start from the engine's graph.
+            let monitor = Rc::new(RefCell::new(Monitor::new(net.graph(), MonitorConfig::default())));
+            net.subscribe(Box::new(Rc::clone(&monitor)));
+            let mut gp = GPrime::new(net.graph());
+            let mut adv_rng = StdRng::seed_from_u64(seed ^ 0xABCD);
+            let mut next_id = 30_000u64;
+            for step in 0..steps {
+                let event = next_event(net.graph(), &mut adv_rng, &mut next_id);
+                net.apply(&event).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                let mut m = monitor.borrow_mut();
+                if let Event::Insert { node, neighbors } = &event {
+                    gp.record_insert(*node, neighbors)
+                        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    m.record_insert(*node, neighbors)
+                        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                }
+                let g = net.graph();
+                // From-scratch recounts.
+                let mut degs: Vec<u64> = Vec::new();
+                let mut blacks: Vec<u64> = Vec::new();
+                for v in g.nodes() {
+                    let d = g.degree(v).unwrap();
+                    let b = g.black_degree(v).unwrap();
+                    if d >= degs.len() { degs.resize(d + 1, 0); }
+                    if b >= blacks.len() { blacks.resize(b + 1, 0); }
+                    degs[d] += 1;
+                    blacks[b] += 1;
+                }
+                prop_assert!(
+                    m.degrees().buckets() == &degs[..],
+                    "{} step {}: degree histogram drift after {:?}", net.name(), step, event
+                );
+                prop_assert!(
+                    m.black_degrees().buckets() == &blacks[..],
+                    "{} step {}: black-degree histogram drift after {:?}", net.name(), step, event
+                );
+                let expect = degree_increase(g, gp.graph());
+                prop_assert!(
+                    m.degree_increase().is_some_and(|d| (d - expect).abs() < 1e-12),
+                    "{} step {}: degree increase {:?} vs recomputed {}",
+                    net.name(), step, m.degree_increase(), expect
+                );
             }
-            net.apply(&event).map_err(|e| TestCaseError::fail(e.to_string()))?;
-
-            let m = monitor.borrow();
-            let g = net.graph();
-            // From-scratch recounts.
-            let mut degs: Vec<u64> = Vec::new();
-            let mut blacks: Vec<u64> = Vec::new();
-            for v in g.nodes() {
-                let d = g.degree(v).unwrap();
-                let b = g.black_degree(v).unwrap();
-                if d >= degs.len() { degs.resize(d + 1, 0); }
-                if b >= blacks.len() { blacks.resize(b + 1, 0); }
-                degs[d] += 1;
-                blacks[b] += 1;
-            }
-            prop_assert!(
-                m.degrees().buckets() == &degs[..],
-                "step {}: degree histogram drift after {:?}", step, event
-            );
-            prop_assert!(
-                m.black_degrees().buckets() == &blacks[..],
-                "step {}: black-degree histogram drift after {:?}", step, event
-            );
-            let expect = degree_increase(g, gp.graph());
-            prop_assert!(
-                (m.degree_increase() - expect).abs() < 1e-12,
-                "step {}: degree increase {} vs recomputed {}",
-                step, m.degree_increase(), expect
-            );
         }
     }
 }

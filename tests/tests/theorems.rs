@@ -25,14 +25,14 @@ fn theorem_2_1_degree_bound_with_slack() {
         let (healer, gprime) = churned_xheal(30, 80, 0.35, kappa, seed);
         for v in healer.graph().nodes() {
             let d = healer.graph().degree(v).unwrap() as f64;
-            let dp = gprime.degree(v).unwrap_or(0) as f64;
+            let dp = gprime.graph().degree(v).unwrap_or(0) as f64;
             assert!(
                 d <= kappa as f64 * dp + 3.0 * kappa as f64,
                 "seed {seed}, node {v}: {d} vs d'={dp}"
             );
         }
         // The aggregate ratio metric is finite and sane.
-        let r = degree_increase(healer.graph(), &gprime);
+        let r = degree_increase(healer.graph(), gprime.graph());
         assert!(r >= 1.0 && r <= 4.0 * kappa as f64);
     }
 }
@@ -41,7 +41,7 @@ fn theorem_2_1_degree_bound_with_slack() {
 fn theorem_2_2_stretch_logarithmic() {
     let (healer, gprime) = churned_xheal(60, 100, 0.2, 6, 9);
     let n = healer.graph().node_count() as f64;
-    let s = stretch(healer.graph(), &gprime, 200, 10).expect("comparable pairs exist");
+    let s = stretch(healer.graph(), gprime.graph(), 200, 10).expect("comparable pairs exist");
     assert!(s.is_finite(), "stretch must be finite (connectivity)");
     assert!(
         s <= 3.0 * n.log2(),
@@ -68,6 +68,7 @@ fn theorem_2_3_expansion_not_collapsed() {
 #[test]
 fn gprime_is_append_only_superset() {
     let (healer, gprime) = churned_xheal(25, 60, 0.4, 4, 33);
+    let gprime = gprime.graph();
     // Every live node exists in G'.
     for v in healer.graph().nodes() {
         assert!(gprime.contains_node(v));
