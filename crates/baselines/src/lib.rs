@@ -330,18 +330,6 @@ impl ForgivingLike {
 
 baseline_common!(ForgivingLike, "forgiving-like");
 
-/// All baseline constructors boxed behind the [`HealingEngine`] trait, for
-/// event-driven experiment sweeps.
-pub fn all_engines(initial: &Graph) -> Vec<Box<dyn HealingEngine>> {
-    vec![
-        Box::new(NoHeal::new(initial)),
-        Box::new(CycleHeal::new(initial)),
-        Box::new(StarHeal::new(initial)),
-        Box::new(BinaryTreeHeal::new(initial)),
-        Box::new(ForgivingLike::new(initial)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,6 +337,17 @@ mod tests {
 
     fn n(raw: u64) -> NodeId {
         NodeId::new(raw)
+    }
+
+    /// All five baselines boxed behind the [`HealingEngine`] trait.
+    fn all_engines(initial: &Graph) -> Vec<Box<dyn HealingEngine>> {
+        vec![
+            Box::new(NoHeal::new(initial)),
+            Box::new(CycleHeal::new(initial)),
+            Box::new(StarHeal::new(initial)),
+            Box::new(BinaryTreeHeal::new(initial)),
+            Box::new(ForgivingLike::new(initial)),
+        ]
     }
 
     #[test]

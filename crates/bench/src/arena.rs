@@ -1,18 +1,19 @@
-//! The engine arena: every healing engine, identical adversary schedules,
-//! one trade-off matrix.
+//! The engine arena: every healing engine of the workspace, identical
+//! adversary schedules, one scorer, one trade-off matrix.
 //!
-//! The `HealingEngine` trait plus the seeded [`Adversary`] strategies make a
-//! cross-algorithm shoot-out nearly free to wire: build a fresh engine of
-//! every flavor over one initial graph ([`standard_registry`] knows all ten),
-//! drive each through the same seeded schedules ([`ArenaSchedule::standard`]
-//! gives uniform churn, clustered bursts, and insert-heavy growth), and
-//! score each run with an [`ArenaScorer`] — `xheal-monitor`'s `MonitorHook`
-//! is the one that scores degree increase, stretch, expansion, and spectral
-//! gap; the dependency-free [`NoScorer`] records topology basics only.
+//! [`ENGINES`] is the roster, the registry keys of all ten engines, and
+//! [`build_engine`] builds each one over an initial graph. This module is
+//! the only code in the workspace that names every engine, so the monitor
+//! and the workload crate link none of them. [`ArenaSchedule::standard`]
+//! gives three seeded schedules (uniform churn, clustered bursts and
+//! insert-heavy growth), and [`run_arena`] drives every engine through
+//! every schedule. Each run is scored by `xheal-monitor`'s [`MonitorHook`]:
+//! a monitor subscribed to the engine's delta stream and handed each
+//! insertion of the tape. DEX's hard degree cap ([`dex_degree_cap`]) is
+//! asserted on that monitor after every applied event.
 //!
-//! The output [`ArenaMatrix`] is healing *cost* (rounds, messages, edge
-//! operations) against invariant *quality* per engine per adversary — the
-//! head-to-head measurement the Xheal/DEX paper family never ran.
+//! The output [`ArenaMatrix`] sets healing *cost* (rounds, messages, edge
+//! operations) against invariant *quality* per engine per adversary.
 //!
 //! Two caveats the numbers only mean something with:
 //!
@@ -31,25 +32,99 @@
 //! # Examples
 //!
 //! ```
+//! use xheal_bench::arena::{run_arena, ArenaSchedule, ENGINES};
 //! use xheal_graph::generators;
-//! use xheal_workload::{run_arena, ArenaSchedule, NoScorer, standard_registry};
 //!
 //! let g0 = generators::ring_with_chords(24);
-//! let reg = standard_registry(4);
-//! let matrix = run_arena(&reg, &ArenaSchedule::standard(12), &g0, 7, |_, _, _| NoScorer);
-//! assert_eq!(matrix.cells.len(), reg.len() * 3);
+//! let matrix = run_arena(&ArenaSchedule::standard(12), &g0, 7, 4);
+//! assert_eq!(matrix.cells.len(), ENGINES.len() * 3);
 //! ```
 
+use std::rc::Rc;
 use std::time::Instant;
 
-use crate::adversary::{Adversary, BurstDeletions, InsertOnly, RandomChurn};
-use crate::runner::{run_observed, RunObserver, RunSummary, Severity};
 use xheal_baselines::{BinaryTreeHeal, CycleHeal, ForgivingLike, NoHeal, StarHeal};
-use xheal_core::{EngineRegistry, HealingEngine, Xheal};
+use xheal_core::{Event, HealingEngine, HealthNote, Outcome, RunObserver, Severity, Xheal};
 use xheal_dex::{Dex, DexConfig};
 use xheal_dist::{DistXheal, Msg};
-use xheal_graph::{components, Graph};
+use xheal_graph::Graph;
+use xheal_metrics::stretch;
+use xheal_monitor::MonitorHook;
 use xheal_sim::{AsyncConfig, AsyncNetwork};
+use xheal_workload::{
+    run_observed, Adversary, BurstDeletions, InsertOnly, RandomChurn, RunSummary,
+};
+
+/// κ of the four Xheal executors in the arena.
+pub const KAPPA: usize = 4;
+
+/// Registry keys of the ten engines, ascending: the matrix lists its cells
+/// in this order within each schedule. Keys stay distinct where engine
+/// names collide (both distributed rows answer `"xheal-dist"`).
+pub const ENGINES: [&str; 10] = [
+    "binary-tree-heal",
+    "cycle-heal",
+    "dex",
+    "forgiving-like",
+    "no-heal",
+    "star-heal",
+    "xheal",
+    "xheal-dist-async",
+    "xheal-dist-sync",
+    "xheal-par",
+];
+
+/// A fresh engine of registry key `key` over `g0`, its internal randomness
+/// drawn from `seed`.
+///
+/// The Xheal family runs at [`KAPPA`]. Both distributed rows run
+/// `AsyncNetwork`: `xheal-dist-sync` at zero latency (`DistXheal::builder`'s
+/// default, synchronous LOCAL-model rounds), `xheal-dist-async` with uniform
+/// 1–3 tick latency seeded from `seed`. `xheal-par` heals on two threads.
+/// DEX runs its default degree-8 / load-3 overlay.
+///
+/// # Panics
+///
+/// Panics when `key` is not in [`ENGINES`].
+pub fn build_engine(key: &str, g0: &Graph, seed: u64) -> Box<dyn HealingEngine> {
+    match key {
+        "binary-tree-heal" => Box::new(BinaryTreeHeal::new(g0)),
+        "cycle-heal" => Box::new(CycleHeal::new(g0)),
+        "dex" => Box::new(Dex::new(
+            g0,
+            DexConfig {
+                seed,
+                ..DexConfig::default()
+            },
+        )),
+        "forgiving-like" => Box::new(ForgivingLike::new(g0)),
+        "no-heal" => Box::new(NoHeal::new(g0)),
+        "star-heal" => Box::new(StarHeal::new(g0)),
+        "xheal" => Box::new(Xheal::builder().kappa(KAPPA).seed(seed).build(g0)),
+        "xheal-dist-async" => Box::new(
+            DistXheal::builder()
+                .kappa(KAPPA)
+                .seed(seed)
+                .engine(AsyncNetwork::<Msg>::new(AsyncConfig::uniform(1, 3, seed)))
+                .build(g0),
+        ),
+        "xheal-dist-sync" => Box::new(DistXheal::builder().kappa(KAPPA).seed(seed).build(g0)),
+        "xheal-par" => Box::new(
+            Xheal::builder()
+                .kappa(KAPPA)
+                .seed(seed)
+                .build_parallel(g0, 2),
+        ),
+        _ => panic!("no engine has registry key {key:?}"),
+    }
+}
+
+/// DEX's hard degree cap in the arena: `degree × max_load` of its default
+/// overlay.
+pub fn dex_degree_cap() -> usize {
+    let config = DexConfig::default();
+    config.degree * config.max_load
+}
 
 /// One adversary schedule of the arena: a named, seeded event-stream shape.
 #[derive(Clone, Copy, Debug)]
@@ -129,22 +204,22 @@ impl ArenaSchedule {
     }
 }
 
-/// Invariant-quality readings of one finished arena cell. `None` marks a
-/// metric the scorer does not measure.
-#[derive(Clone, Debug, Default)]
+/// Invariant-quality readings of one finished arena cell.
+#[derive(Clone, Debug)]
 pub struct ArenaQuality {
     /// Largest node degree in the final graph.
     pub max_degree: usize,
-    /// Worst degree over the engine's reference-graph degree (the paper's
-    /// degree-increase metric), when the scorer tracks a reference.
+    /// Worst degree over `G'` degree (the paper's degree-increase metric);
+    /// `None` while `G'` lacks a live node.
     pub degree_increase: Option<f64>,
-    /// Stretch of the final graph against `G'`, when the scorer tracks a
-    /// reference.
+    /// Exact stretch of the final graph against `G'`: the maximum over all
+    /// live pairs. `None` when the degree increase is, and when the graph
+    /// has disconnected.
     pub stretch: Option<f64>,
-    /// Edge-expansion estimate of the final graph.
+    /// Sweep-cut edge expansion of the final graph (0 when disconnected).
     pub expansion: Option<f64>,
     /// Algebraic connectivity λ₂ of the final normalized Laplacian.
-    pub spectral_gap: Option<f64>,
+    pub spectral_gap: f64,
     /// Second-order drift: λ₃ of the final normalized Laplacian.
     pub lambda3: Option<f64>,
     /// Connected components of the final graph (1 = healed connectivity).
@@ -155,63 +230,12 @@ pub struct ArenaQuality {
     pub critical_notes: usize,
 }
 
-/// A per-run scorer: observes every applied event (it is a [`RunObserver`]),
-/// may subscribe topology sinks at attach time, and distills an
-/// [`ArenaQuality`] when the run finishes.
-pub trait ArenaScorer: RunObserver {
-    /// Called once before the run with the freshly built engine (subscribe
-    /// sinks here; the engine's graph is its post-construction state).
-    fn attach(&mut self, engine: &mut dyn HealingEngine);
-
-    /// Called once after the run with the engine's final graph and the
-    /// run summary.
-    fn finish(&mut self, graph: &Graph, summary: &RunSummary) -> ArenaQuality;
-}
-
-/// The dependency-free scorer: records final topology basics (max degree,
-/// components, note counts) and measures nothing reference-relative or
-/// spectral. The monitor-backed scorer is `xheal_monitor::MonitorHook`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoScorer;
-
-impl RunObserver for NoScorer {
-    fn on_event(&mut self, _: usize, _: &xheal_core::Event, _: &xheal_core::Outcome, _: &Graph) {}
-}
-
-impl ArenaScorer for NoScorer {
-    fn attach(&mut self, _engine: &mut dyn HealingEngine) {}
-
-    fn finish(&mut self, graph: &Graph, summary: &RunSummary) -> ArenaQuality {
-        ArenaQuality {
-            max_degree: graph
-                .node_vec()
-                .iter()
-                .filter_map(|&v| graph.degree(v))
-                .max()
-                .unwrap_or(0),
-            components: components::component_count(&graph.csr_view()),
-            warn_notes: summary
-                .health
-                .iter()
-                .filter(|n| n.severity == Severity::Warning)
-                .count(),
-            critical_notes: summary
-                .health
-                .iter()
-                .filter(|n| n.severity == Severity::Critical)
-                .count(),
-            ..ArenaQuality::default()
-        }
-    }
-}
-
 /// One engine × schedule cell of the trade-off matrix: healing cost on the
 /// left, invariant quality on the right.
 #[derive(Clone, Debug)]
 pub struct ArenaCell {
-    /// Registry key of the engine (distinct even where engine names
-    /// collide, e.g. the two distributed substrates).
-    pub engine: String,
+    /// Registry key of the engine.
+    pub engine: &'static str,
     /// Schedule name.
     pub schedule: &'static str,
     /// Events actually applied (schedules may exhaust early).
@@ -250,7 +274,7 @@ pub struct ArenaMatrix {
     pub n0: usize,
     /// Base seed of the sweep.
     pub seed: u64,
-    /// All cells, schedule-major then engine (registry key) order.
+    /// All cells, schedule-major then in [`ENGINES`] order.
     pub cells: Vec<ArenaCell>,
 }
 
@@ -264,7 +288,7 @@ impl ArenaMatrix {
 
     /// Distinct engine keys, ascending.
     pub fn engines(&self) -> Vec<&str> {
-        let mut keys: Vec<&str> = self.cells.iter().map(|c| c.engine.as_str()).collect();
+        let mut keys: Vec<&str> = self.cells.iter().map(|c| c.engine).collect();
         keys.sort_unstable();
         keys.dedup();
         keys
@@ -298,29 +322,102 @@ impl ArenaMatrix {
     }
 }
 
-/// Runs every registered engine through every schedule, scoring each cell
-/// with a fresh scorer from `make_scorer` (called with the registry key, the
-/// schedule, and the engine's post-construction graph).
+/// The observer of one cell: the monitor scorer, plus, for DEX, its hard
+/// degree cap checked on the monitor after every event.
+struct CellObserver {
+    hook: MonitorHook,
+    degree_cap: Option<usize>,
+    label: String,
+}
+
+impl CellObserver {
+    /// Subscribes a fresh monitor scorer to `engine` (its post-construction
+    /// graph, so `G'` starts where the run does); a `dex` cell gets the cap.
+    fn attach(
+        key: &str,
+        schedule: &str,
+        engine: &mut dyn HealingEngine,
+        checkpoint_every: usize,
+    ) -> Self {
+        let hook = MonitorHook::scorer(engine.graph(), checkpoint_every);
+        engine.subscribe(Box::new(Rc::clone(hook.monitor())));
+        CellObserver {
+            hook,
+            degree_cap: (key == "dex").then(dex_degree_cap),
+            label: format!("{key}/{schedule}"),
+        }
+    }
+
+    /// Checkpoints once more and reads the cell's quality. The stretch is
+    /// exact: the maximum over all live pairs, from `xheal_metrics::stretch`
+    /// against the monitor's `G'`, not the checkpoint's sample.
+    fn finish(&self, graph: &Graph, summary: &RunSummary) -> ArenaQuality {
+        let mut m = self.hook.monitor().borrow_mut();
+        assert_eq!(
+            (m.node_count(), m.edge_count()),
+            (graph.node_count(), graph.edge_count()),
+            "{}: monitor drifted from the engine graph",
+            self.label
+        );
+        let report = m.checkpoint();
+        let notes = |s| summary.health.iter().filter(|n| n.severity == s).count();
+        ArenaQuality {
+            max_degree: report.max_degree,
+            degree_increase: report.degree_increase,
+            stretch: report
+                .degree_increase
+                .and_then(|_| stretch(graph, m.gprime().graph(), graph.node_count(), 0)),
+            expansion: report.expansion,
+            spectral_gap: report.spectral_gap.lambda,
+            lambda3: report.lambda3,
+            components: report.components,
+            warn_notes: notes(Severity::Warning),
+            critical_notes: notes(Severity::Critical),
+        }
+    }
+}
+
+impl RunObserver for CellObserver {
+    fn on_event(&mut self, step: usize, event: &Event, outcome: &Outcome, graph: &Graph) {
+        self.hook.on_event(step, event, outcome, graph);
+        if let Some(cap) = self.degree_cap {
+            let worst = self.hook.monitor().borrow().degrees().max();
+            assert!(
+                worst <= cap,
+                "{}: degree bound violated at step {step}: {worst} > {cap}",
+                self.label
+            );
+        }
+    }
+
+    fn drain_notes(&mut self) -> Vec<HealthNote> {
+        self.hook.drain_notes()
+    }
+}
+
+/// Runs every engine of [`ENGINES`] through every schedule and scores each
+/// cell with a fresh monitor scorer that checkpoints every
+/// `checkpoint_every` events (0: only at the end).
 ///
 /// Engines are seeded with `seed`; each schedule's adversary tape is fixed
 /// across engines via [`ArenaSchedule::seed`].
-pub fn run_arena<S, F>(
-    registry: &EngineRegistry,
+///
+/// # Panics
+///
+/// Panics when DEX's degree exceeds [`dex_degree_cap`] after any event, or
+/// when the monitor's delta-fed mirror drifts from an engine's graph.
+pub fn run_arena(
     schedules: &[ArenaSchedule],
     g0: &Graph,
     seed: u64,
-    mut make_scorer: F,
-) -> ArenaMatrix
-where
-    S: ArenaScorer,
-    F: FnMut(&str, &ArenaSchedule, &Graph) -> S,
-{
+    checkpoint_every: usize,
+) -> ArenaMatrix {
     let mut cells = Vec::new();
     for sched in schedules {
-        for key in registry.keys() {
-            let mut engine = registry.build(key, g0, seed).expect("registered key");
-            let mut scorer = make_scorer(key, sched, engine.graph());
-            scorer.attach(engine.as_mut());
+        for key in ENGINES {
+            let mut engine = build_engine(key, g0, seed);
+            let mut observer =
+                CellObserver::attach(key, sched.name, engine.as_mut(), checkpoint_every);
             let mut adversary = sched.adversary(g0);
             let start = Instant::now();
             let summary = run_observed(
@@ -328,12 +425,12 @@ where
                 adversary.as_mut(),
                 sched.steps,
                 sched.seed(seed),
-                &mut scorer,
+                &mut observer,
             );
             let wall_nanos = start.elapsed().as_nanos();
-            let quality = scorer.finish(engine.graph(), &summary);
+            let quality = observer.finish(engine.graph(), &summary);
             cells.push(ArenaCell {
-                engine: key.to_string(),
+                engine: key,
                 schedule: sched.name,
                 steps_applied: summary.events.len(),
                 insertions: summary.insertions,
@@ -358,63 +455,22 @@ where
     }
 }
 
-/// All ten engines of the workspace, keyed distinctly:
-///
-/// `binary-tree-heal`, `cycle-heal`, `dex`, `forgiving-like`, `no-heal`,
-/// `star-heal`, `xheal`, `xheal-dist-async`, `xheal-dist-sync`, `xheal-par`.
-///
-/// `kappa` parameterizes the Xheal family; seeds are passed through from the
-/// arena. Both distributed rows run `AsyncNetwork`: `xheal-dist-sync` at
-/// zero latency (`DistXheal::builder`'s default, synchronous LOCAL-model
-/// rounds), `xheal-dist-async` with uniform 1–3 tick latency seeded from
-/// the engine seed. DEX runs its default degree-8 / load-3 overlay.
-pub fn standard_registry(kappa: usize) -> EngineRegistry {
-    let mut reg = EngineRegistry::new();
-    reg.register("xheal", move |g, s| {
-        Box::new(Xheal::builder().kappa(kappa).seed(s).build(g))
-    });
-    reg.register("xheal-par", move |g, s| {
-        Box::new(Xheal::builder().kappa(kappa).seed(s).build_parallel(g, 2))
-    });
-    reg.register("xheal-dist-sync", move |g, s| {
-        Box::new(DistXheal::builder().kappa(kappa).seed(s).build(g))
-    });
-    reg.register("xheal-dist-async", move |g, s| {
-        Box::new(
-            DistXheal::builder()
-                .kappa(kappa)
-                .seed(s)
-                .engine(AsyncNetwork::<Msg>::new(AsyncConfig::uniform(1, 3, s)))
-                .build(g),
-        )
-    });
-    reg.register("dex", |g, s| {
-        Box::new(Dex::new(
-            g,
-            DexConfig {
-                seed: s,
-                ..DexConfig::default()
-            },
-        ))
-    });
-    reg.register("no-heal", |g, _| Box::new(NoHeal::new(g)));
-    reg.register("cycle-heal", |g, _| Box::new(CycleHeal::new(g)));
-    reg.register("star-heal", |g, _| Box::new(StarHeal::new(g)));
-    reg.register("binary-tree-heal", |g, _| Box::new(BinaryTreeHeal::new(g)));
-    reg.register("forgiving-like", |g, _| Box::new(ForgivingLike::new(g)));
-    reg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xheal_graph::generators;
+    use xheal_graph::{generators, NodeId};
 
     #[test]
     fn standard_registry_has_all_ten_engines() {
-        let reg = standard_registry(4);
+        // Ascending keys keep each schedule's cells in the record's order.
+        assert!(ENGINES.windows(2).all(|w| w[0] < w[1]));
+        let g0 = generators::ring_with_chords(16);
+        let names: Vec<&str> = ENGINES
+            .iter()
+            .map(|key| build_engine(key, &g0, 1).name())
+            .collect();
         assert_eq!(
-            reg.keys(),
+            names,
             [
                 "binary-tree-heal",
                 "cycle-heal",
@@ -423,8 +479,8 @@ mod tests {
                 "no-heal",
                 "star-heal",
                 "xheal",
-                "xheal-dist-async",
-                "xheal-dist-sync",
+                "xheal-dist",
+                "xheal-dist",
                 "xheal-par",
             ]
         );
@@ -433,9 +489,8 @@ mod tests {
     #[test]
     fn arena_covers_every_cell() {
         let g0 = generators::ring_with_chords(24);
-        let reg = standard_registry(4);
         let schedules = ArenaSchedule::standard(10);
-        let matrix = run_arena(&reg, &schedules, &g0, 99, |_, _, _| NoScorer);
+        let matrix = run_arena(&schedules, &g0, 99, 0);
         assert_eq!(matrix.cells.len(), 30);
         assert!(matrix.is_complete());
         assert_eq!(matrix.engines().len(), 10);
@@ -461,7 +516,6 @@ mod tests {
         // Uniform churn and insert-heavy pick events from membership alone,
         // so engines with identical memberships see identical event tapes.
         let g0 = generators::ring_with_chords(16);
-        let reg = standard_registry(4);
         let schedules = [
             ArenaSchedule::uniform_churn(14),
             ArenaSchedule::insert_heavy(8),
@@ -469,9 +523,9 @@ mod tests {
         for sched in &schedules {
             let mut tapes = Vec::new();
             for key in ["xheal", "dex", "cycle-heal"] {
-                let mut engine = reg.build(key, &g0, 5).expect("key");
+                let mut engine = build_engine(key, &g0, 5);
                 let mut adversary = sched.adversary(&g0);
-                let summary = crate::runner::run(
+                let summary = xheal_workload::run(
                     engine.as_mut(),
                     adversary.as_mut(),
                     sched.steps,
@@ -487,10 +541,7 @@ mod tests {
     #[test]
     fn dex_degree_stays_bounded_in_arena() {
         let g0 = generators::ring_with_chords(20);
-        let reg = standard_registry(4);
-        let matrix = run_arena(&reg, &ArenaSchedule::standard(20), &g0, 3, |_, _, _| {
-            NoScorer
-        });
+        let matrix = run_arena(&ArenaSchedule::standard(20), &g0, 3, 0);
         let bound = DexConfig::default().degree * DexConfig::default().max_load;
         for sched in matrix.schedules() {
             let cell = matrix.cell("dex", sched).unwrap();
@@ -500,5 +551,37 @@ mod tests {
                 cell.quality.max_degree
             );
         }
+    }
+
+    /// Observes a `dex` cell over `no-heal` on a star whose hub sits at
+    /// DEX's cap, and inserts a leaf at a leaf, then one at the hub when
+    /// `past_cap`.
+    fn grow_star_at_the_cap(past_cap: bool) {
+        let cap = dex_degree_cap();
+        let g0 = generators::star(cap + 1);
+        let mut engine = NoHeal::new(&g0);
+        let mut observer = CellObserver::attach("dex", "star", &mut engine, 0);
+        let contacts = [NodeId::new(1), NodeId::new(0)];
+        let steps = if past_cap { 2 } else { 1 };
+        for (step, &contact) in contacts[..steps].iter().enumerate() {
+            let event = Event::Insert {
+                node: NodeId::new((cap + 1 + step) as u64),
+                neighbors: vec![contact],
+            };
+            let outcome = engine.apply(&event).expect("a fresh node");
+            observer.on_event(step, &event, &outcome, engine.graph());
+        }
+        assert_eq!(engine.graph().degree(NodeId::new(0)), Some(cap));
+    }
+
+    #[test]
+    fn dex_cap_check_passes_at_the_cap() {
+        grow_star_at_the_cap(false);
+    }
+
+    #[test]
+    #[should_panic(expected = "dex/star: degree bound violated at step 1")]
+    fn dex_cap_check_panics_above_the_cap() {
+        grow_star_at_the_cap(true);
     }
 }

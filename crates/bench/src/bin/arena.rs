@@ -2,17 +2,17 @@
 //! through identical seeded adversary schedules, scored live by the
 //! monitoring subsystem, one trade-off matrix out.
 //!
-//! For each of the ten registry engines (`xheal`, `xheal-par`, the two
-//! distributed substrates, DEX, and the five baselines) and each of the
-//! three standard schedules (uniform churn, clustered `DeleteBatch`
-//! bursts, insert-heavy growth), a fresh engine runs the schedule scored by
-//! [`xheal_monitor::MonitorHook`]: a monitor subscribed to the engine's
-//! delta stream, fed each insertion of the tape, checkpointed periodically
-//! during the run and once at the end. Every cell reports healing *cost*
-//! (rounds, messages, edge operations, wall time) against invariant
-//! *quality* (degree increase against the tape's `G'`, exact all-pairs
-//! stretch, sweep-cut expansion, spectral gap λ₂ and λ₃, components, alert
-//! counts).
+//! For each of the ten roster engines of `xheal_bench::arena` (`xheal`,
+//! `xheal-par`, the two distributed substrates, DEX, and the five
+//! baselines) and each of the three standard schedules (uniform churn,
+//! clustered `DeleteBatch` bursts, insert-heavy growth), a fresh engine
+//! runs the schedule scored by `xheal_monitor::MonitorHook`: a monitor
+//! subscribed to the engine's delta stream, fed each insertion of the
+//! tape, checkpointed periodically during the run and once at the end.
+//! Every cell reports healing *cost* (rounds, messages, edge operations,
+//! wall time) against invariant *quality* (degree increase against the
+//! tape's `G'`, exact all-pairs stretch, sweep-cut expansion, spectral gap
+//! λ₂ and λ₃, components, alert counts).
 //!
 //! DEX's hard constant-degree bound (`max_load × degree`) is asserted
 //! **in-process after every applied event**, not just on the final graph —
@@ -26,53 +26,10 @@
 //! cargo run --release -p xheal-bench --bin arena
 //! ```
 
-use xheal_core::{Event, HealingEngine, Outcome};
-use xheal_dex::DexConfig;
-use xheal_graph::{generators, Graph};
-use xheal_monitor::MonitorHook;
-use xheal_workload::{
-    run_arena, standard_registry, ArenaMatrix, ArenaQuality, ArenaSchedule, ArenaScorer,
-    HealthNote, RunObserver, RunSummary,
-};
+use xheal_bench::arena::{dex_degree_cap, run_arena, ArenaMatrix, ArenaSchedule, ENGINES, KAPPA};
+use xheal_graph::generators;
 
-const KAPPA: usize = 4;
 const ARENA_SEED: u64 = 0xA12E4A;
-
-/// The shared monitor scorer plus, for DEX cells, its hard degree cap
-/// checked after every event.
-struct CappedScorer {
-    hook: MonitorHook,
-    degree_cap: Option<usize>,
-    label: String,
-}
-
-impl RunObserver for CappedScorer {
-    fn on_event(&mut self, step: usize, event: &Event, outcome: &Outcome, graph: &Graph) {
-        self.hook.on_event(step, event, outcome, graph);
-        if let Some(cap) = self.degree_cap {
-            let worst = self.hook.monitor().borrow().degrees().max();
-            assert!(
-                worst <= cap,
-                "{}: degree bound violated at step {step}: {worst} > {cap}",
-                self.label
-            );
-        }
-    }
-
-    fn drain_notes(&mut self) -> Vec<HealthNote> {
-        self.hook.drain_notes()
-    }
-}
-
-impl ArenaScorer for CappedScorer {
-    fn attach(&mut self, engine: &mut dyn HealingEngine) {
-        self.hook.attach(engine);
-    }
-
-    fn finish(&mut self, graph: &Graph, summary: &RunSummary) -> ArenaQuality {
-        self.hook.finish(graph, summary)
-    }
-}
 
 fn fmt_opt(x: Option<f64>) -> String {
     match x {
@@ -125,7 +82,7 @@ fn json(matrix: &ArenaMatrix, smoke: bool, steps: usize, dex_bound: usize) -> St
             fmt_opt(q.degree_increase),
             fmt_opt(q.stretch),
             fmt_opt(q.expansion),
-            fmt_opt(q.spectral_gap),
+            fmt_opt(Some(q.spectral_gap)),
             fmt_opt(q.lambda3),
             q.components,
             q.warn_notes,
@@ -158,7 +115,7 @@ fn main() {
     } else {
         (512, 480, 32)
     };
-    let dex_bound = DexConfig::default().degree * DexConfig::default().max_load;
+    let dex_bound = dex_degree_cap();
 
     println!("arena: all engines x all schedules, monitor-scored");
     println!(
@@ -168,20 +125,13 @@ fn main() {
     );
 
     let g0 = generators::ring_with_chords(n0);
-    let registry = standard_registry(KAPPA);
     let schedules = ArenaSchedule::standard(steps);
-    let matrix = run_arena(&registry, &schedules, &g0, ARENA_SEED, |key, sched, g| {
-        CappedScorer {
-            hook: MonitorHook::scorer(g, checkpoint_every),
-            degree_cap: (key == "dex").then_some(dex_bound),
-            label: format!("{key}/{}", sched.name),
-        }
-    });
+    let matrix = run_arena(&schedules, &g0, ARENA_SEED, checkpoint_every);
 
     assert!(matrix.is_complete(), "arena matrix has holes");
     assert_eq!(
         matrix.cells.len(),
-        registry.len() * schedules.len(),
+        ENGINES.len() * schedules.len(),
         "expected one cell per engine per schedule"
     );
 
@@ -213,7 +163,7 @@ fn main() {
                 q.degree_increase
                     .map_or("n/a".into(), |v| format!("{v:.2}")),
                 q.stretch.map_or("n/a".into(), |v| format!("{v:.2}")),
-                q.spectral_gap.map_or("n/a".into(), |v| format!("{v:.4}")),
+                format!("{:.4}", q.spectral_gap),
                 q.components,
                 q.critical_notes,
             );

@@ -1,12 +1,18 @@
 //! # xheal-bench
 //!
-//! Table and verdict printers for the paper's experiments. Each bench target
-//! (`benches/e1_*.rs` … `benches/e10_*.rs`) regenerates one claim of the
-//! paper and ends with a `VERDICT [PASS|CHECK]` line, and `benches/micro.rs`
-//! times hot paths; run one with
-//! `cargo bench -p xheal-bench --bench e1_degree_bound` or all with
-//! `cargo bench --workspace`. The `arena` binary (`src/bin/arena.rs`) scores
-//! every engine on the same adversary schedules.
+//! The paper's experiments and the engine arena.
+//!
+//! - Table and verdict printers for the experiments. Each bench target
+//!   (`benches/e1_*.rs` … `benches/e10_*.rs`) regenerates one claim of the
+//!   paper and ends with a `VERDICT [PASS|CHECK]` line, and
+//!   `benches/micro.rs` times hot paths; run one with
+//!   `cargo bench -p xheal-bench --bench e1_degree_bound` or all with
+//!   `cargo bench --workspace`.
+//! - [`arena`]: the roster of all ten engines ([`arena::ENGINES`],
+//!   [`arena::build_engine`]), the only code in the workspace that names
+//!   every engine, and [`arena::run_arena`], which scores each engine on
+//!   the same adversary schedules with one monitor scorer. The `arena`
+//!   binary (`src/bin/arena.rs`) writes the sweep to `BENCH_arena.json`.
 //!
 //! Performance of the healed overlay end to end is measured by the separate
 //! `benchmark/` package, not here.
@@ -20,6 +26,8 @@
 // is the one permitted unsafe block (a verbatim delegation to `System`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod arena;
 
 /// Counting global allocator (the `bench` feature): every allocation bumps
 /// a relaxed atomic, so a test can count the heap allocations of a code

@@ -247,6 +247,62 @@ impl TopologySink for DeltaMirror {
 }
 
 // ---------------------------------------------------------------------------
+// Run observers
+// ---------------------------------------------------------------------------
+
+/// Severity of a [`HealthNote`] recorded during a run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Severity {
+    /// Informational (checkpoints, recoveries).
+    Info,
+    /// A monitored invariant is degrading toward its threshold.
+    Warning,
+    /// A monitored invariant is violated.
+    Critical,
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Severity::Info => write!(f, "info"),
+            Severity::Warning => write!(f, "warning"),
+            Severity::Critical => write!(f, "critical"),
+        }
+    }
+}
+
+/// One health observation a [`RunObserver`] records during a run (e.g. an
+/// alert of the `xheal-monitor` invariant monitor).
+#[derive(Clone, Debug)]
+pub struct HealthNote {
+    /// Index of the event (0-based, in application order) the note follows.
+    pub step: usize,
+    /// How bad it is.
+    pub severity: Severity,
+    /// Human-readable description of the observation.
+    pub message: String,
+}
+
+/// Per-event hook of a run driver (`xheal_workload::run_observed`): called
+/// after every applied event with the structured outcome and the engine's
+/// post-repair graph.
+///
+/// Where a [`TopologySink`] sees each structural change, an observer sees
+/// each whole event. `xheal-monitor`'s run hook implements it to evaluate
+/// live invariant metrics per event; the notes it drains at the end of the
+/// run land in the run's summary.
+pub trait RunObserver {
+    /// Called after `event` was applied (and healed) by the engine.
+    fn on_event(&mut self, step: usize, event: &Event, outcome: &Outcome, graph: &Graph);
+
+    /// Health observations accumulated so far, drained into the summary
+    /// when the run ends.
+    fn drain_notes(&mut self) -> Vec<HealthNote> {
+        Vec::new()
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Distributed protocol cost (owned by core so outcomes are executor-neutral)
 // ---------------------------------------------------------------------------
 

@@ -21,14 +21,15 @@
 //! - [`TopologySink`] / [`TopologyDelta`]: the subscription layer — every
 //!   structural change streams to registered sinks; [`DeltaMirror`] is the
 //!   built-in shadow-graph consumer;
+//! - [`RunObserver`]: the per-event hook of a run driver, recording
+//!   [`HealthNote`]s of a [`Severity`] — the interface a live invariant
+//!   monitor implements without linking any engine;
 //! - [`Xheal`]: the centralized healing network state ([`Xheal::builder`],
 //!   [`Xheal::heal_insert`], [`Xheal::heal_delete`],
 //!   [`Xheal::heal_delete_batch`]);
 //! - [`XhealConfig`]: κ, seeding, and ablation switches;
 //! - [`RepairPlanner`] / [`RepairPlan`]: healing decisions as data, shared
 //!   verbatim by the centralized and distributed executors;
-//! - [`EngineRegistry`]: name-keyed engine constructors, so arena/sweep
-//!   drivers can build fresh engines of every flavor over one graph;
 //! - [`invariants::check_invariants`]: structural self-checks used heavily
 //!   by the test suites.
 //!
@@ -60,7 +61,6 @@ pub mod invariants;
 mod parallel;
 mod plan;
 mod planner;
-mod registry;
 mod shard;
 mod stats;
 
@@ -68,8 +68,8 @@ pub use batch::{BatchRepairPlan, BatchReport, BatchStage, BatchVictim};
 pub use cloud::{Cloud, NodeState};
 pub use config::XhealConfig;
 pub use engine::{
-    DeltaMirror, DistCost, HealingEngine, Outcome, RepairCost, SinkRegistry, TopologyDelta,
-    TopologySink,
+    DeltaMirror, DistCost, HealingEngine, HealthNote, Outcome, RepairCost, RunObserver, Severity,
+    SinkRegistry, TopologyDelta, TopologySink,
 };
 pub use error::HealError;
 pub use event::Event;
@@ -77,5 +77,4 @@ pub use heal::{Xheal, XhealBuilder};
 pub use parallel::ParallelXheal;
 pub use plan::{ApplyScratch, PlanAction, RepairPlan};
 pub use planner::RepairPlanner;
-pub use registry::{EngineBuilder, EngineRegistry};
 pub use stats::{DeletionReport, HealCase, HealStats};

@@ -337,17 +337,4 @@ impl RepairPlan {
     ) {
         scratch.apply_actions(&self.actions, graph, sinks);
     }
-
-    /// The largest member set among clouds this plan builds (0 when none):
-    /// drives the gossip-round count of the distributed executor.
-    pub fn max_built_cloud(&self) -> usize {
-        self.actions
-            .iter()
-            .map(|a| match a {
-                PlanAction::BuildCloud { members, .. } => members.len(),
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0)
-    }
 }

@@ -184,11 +184,6 @@ impl HGraph {
         }
     }
 
-    /// Number of Hamilton cycles (`κ = 2d`).
-    pub fn cycle_count(&self) -> usize {
-        self.d
-    }
-
     /// Target multigraph degree `κ = 2d`.
     pub fn kappa(&self) -> usize {
         2 * self.d
@@ -336,19 +331,6 @@ impl HGraph {
         edges.sort_unstable();
         edges.dedup();
         edges
-    }
-
-    /// Multigraph degree of `v` counting duplicate cycle edges (2 per cycle
-    /// while at least 3 members exist).
-    pub fn multi_degree(&self, v: NodeId) -> usize {
-        if !self.contains(v) {
-            return 0;
-        }
-        match self.members.len() {
-            1 => 0,
-            2 => self.d, // each cycle degenerates to a single doubled edge
-            _ => 2 * self.d,
-        }
     }
 
     /// Structural self-check: the member list is strictly ascending, and

@@ -213,11 +213,6 @@ impl EdgeLabels {
         self.black
     }
 
-    /// Does the edge carry any cloud color?
-    pub fn is_colored(&self) -> bool {
-        !self.colors.as_slice().is_empty()
-    }
-
     /// True when no label remains.
     pub fn is_empty(&self) -> bool {
         !self.black && self.colors.as_slice().is_empty()

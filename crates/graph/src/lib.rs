@@ -13,7 +13,7 @@
 //!   carry an [`EdgeLabels`] set (black flag + cloud colors — a *set* rather
 //!   than the paper's single color, so two clouds can share an edge and a
 //!   cloud dropping a recolored edge never erases a black one),
-//! - [`traversal`]: BFS distances, shortest paths, diameter (stretch metric),
+//! - [`traversal`]: BFS distances, diameter (stretch metric),
 //! - [`components`]: connectivity and articulation points (adversary tooling),
 //! - [`cuts`]: exact edge expansion `h(G)` and conductance `φ(G)` for small
 //!   graphs by enumeration,

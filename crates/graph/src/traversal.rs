@@ -1,4 +1,4 @@
-//! Breadth-first traversal, shortest paths, and distance utilities.
+//! Breadth-first traversal and distance utilities.
 //!
 //! Stretch (success metric 3 in Figure 1 of the paper) is defined through
 //! shortest-path distances in the healed graph `G_t` and in the
@@ -100,48 +100,6 @@ pub fn distance(g: &Graph, u: NodeId, v: NodeId) -> Option<u32> {
     None
 }
 
-/// One shortest path from `u` to `v` (inclusive of both endpoints), or `None`.
-pub fn shortest_path(g: &Graph, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
-    let csr = g.csr_view();
-    let s = csr.index_of(u)?;
-    let t = csr.index_of(v)?;
-    if s == t {
-        return Some(vec![u]);
-    }
-    let mut parent = vec![UNSEEN; csr.len()];
-    let mut queue = VecDeque::from([s as u32]);
-    parent[s] = s as u32;
-    while let Some(x) = queue.pop_front() {
-        for &y in csr.neighbors_of(x as usize) {
-            if parent[y as usize] == UNSEEN {
-                parent[y as usize] = x;
-                if y as usize == t {
-                    let mut path = vec![csr.node(t)];
-                    let mut cur = t;
-                    while cur != s {
-                        cur = parent[cur] as usize;
-                        path.push(csr.node(cur));
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(y);
-            }
-        }
-    }
-    None
-}
-
-/// Eccentricity of `src`: the largest BFS distance to any reachable node.
-pub fn eccentricity(g: &Graph, src: NodeId) -> Option<u32> {
-    let csr = g.csr_view();
-    let s = csr.index_of(src)?;
-    let mut dist = Vec::new();
-    let mut queue = VecDeque::new();
-    bfs_dense(&csr, s, &mut dist, &mut queue);
-    dist.iter().filter(|&&d| d != UNSEEN).max().copied()
-}
-
 /// Diameter of the graph restricted to reachable pairs, or `None` for an
 /// empty graph. For a disconnected graph this is the max of the component
 /// diameters (infinite pairs are ignored; use [`crate::components::is_connected`]
@@ -157,27 +115,6 @@ pub fn diameter(g: &Graph) -> Option<u32> {
         best = best.max(ecc);
     }
     best
-}
-
-/// All-pairs shortest distances (each unordered reachable pair once).
-///
-/// O(n·m) with one shared CSR snapshot; intended for the experiment scales
-/// (n up to a few thousand).
-pub fn all_pairs_distances(g: &Graph) -> BTreeMap<(NodeId, NodeId), u32> {
-    let csr = g.csr_view();
-    let mut dist = Vec::new();
-    let mut queue = VecDeque::new();
-    let mut out = BTreeMap::new();
-    for s in 0..csr.len() {
-        bfs_dense(&csr, s, &mut dist, &mut queue);
-        let v = csr.node(s);
-        for (i, &d) in dist.iter().enumerate() {
-            if d != UNSEEN && s < i {
-                out.insert((v, csr.node(i)), d);
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -214,26 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn shortest_path_endpoints_and_length() {
-        let g = generators::cycle(8);
-        let p = shortest_path(&g, n(0), n(3)).unwrap();
-        assert_eq!(p.first(), Some(&n(0)));
-        assert_eq!(p.last(), Some(&n(3)));
-        assert_eq!(p.len() as u32 - 1, distance(&g, n(0), n(3)).unwrap());
-        // consecutive nodes adjacent
-        for w in p.windows(2) {
-            assert!(g.has_edge(w[0], w[1]));
-        }
-    }
-
-    #[test]
-    fn shortest_path_absent_endpoints_are_none() {
-        let g = generators::path(3);
-        assert_eq!(shortest_path(&g, n(0), n(9)), None);
-        assert_eq!(shortest_path(&g, n(9), n(0)), None);
-    }
-
-    #[test]
     fn cycle_distance_wraps() {
         let g = generators::cycle(8);
         assert_eq!(distance(&g, n(0), n(5)), Some(3));
@@ -244,25 +161,5 @@ mod tests {
     fn star_diameter_is_two() {
         let g = generators::star(10);
         assert_eq!(diameter(&g), Some(2));
-        assert_eq!(eccentricity(&g, n(0)), Some(1)); // center
-    }
-
-    #[test]
-    fn all_pairs_counts_each_pair_once() {
-        let g = generators::complete(5);
-        let ap = all_pairs_distances(&g);
-        assert_eq!(ap.len(), 10);
-        assert!(ap.values().all(|&d| d == 1));
-    }
-
-    #[test]
-    fn all_pairs_matches_pairwise_distance_on_disconnected_graph() {
-        let mut g = generators::path(4);
-        g.add_node(n(50)).unwrap();
-        let ap = all_pairs_distances(&g);
-        for (&(u, v), &d) in &ap {
-            assert_eq!(distance(&g, u, v), Some(d));
-        }
-        assert!(!ap.contains_key(&(n(0), n(50))));
     }
 }

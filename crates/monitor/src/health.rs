@@ -23,7 +23,7 @@
 
 use std::fmt;
 
-use xheal_workload::Severity;
+use xheal_core::Severity;
 
 /// Which monitored invariant an alert concerns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]

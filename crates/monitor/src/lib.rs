@@ -25,10 +25,15 @@
 //!
 //! [`Monitor`] bundles it all behind one [`TopologySink`], attachable to
 //! any executor via `Xheal::builder().sink(..)` /
-//! `DistXheal::builder().sink(..)`; [`MonitorHook`] plugs the same monitor
-//! into `xheal_workload::run_observed`, records each insertion of the tape
-//! into its `G'`, and lands per-event health in the `RunSummary`. The hook
-//! is also the arena's scorer (`xheal_workload::ArenaScorer`).
+//! `DistXheal::builder().sink(..)`; [`MonitorHook`] is the same monitor as
+//! an [`xheal_core::RunObserver`] for a run driver such as
+//! `xheal_workload::run_observed`: it records each insertion of the tape
+//! into its `G'` and lands per-event health in the run's summary. The arena
+//! in `xheal-bench` scores every engine with one.
+//!
+//! The crate reads only the delta stream and the `xheal-core` interfaces,
+//! so it links no engine crate: whatever healer produced the stream, the
+//! same code checks it.
 //!
 //! # Examples
 //!
@@ -64,46 +69,28 @@ mod spectral;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use xheal_core::{Event, HealingEngine, Outcome, TopologyDelta, TopologySink};
+use xheal_core::{Event, HealthNote, Outcome, RunObserver, Severity, TopologyDelta, TopologySink};
 use xheal_graph::{Graph, GraphError, NodeId};
-use xheal_metrics::{stretch, GPrime};
+use xheal_metrics::GPrime;
 use xheal_spectral::sweep_cut_csr;
 use xheal_trace::{hook, Layer, SharedTracer};
-use xheal_workload::{ArenaQuality, ArenaScorer, HealthNote, RunObserver, RunSummary, Severity};
 
 pub use csr::{DeltaEffect, IncrementalCsr};
 pub use health::{Band, BreachState, HealthEvent, HealthPolicy, MetricKind, MetricsSnapshot};
 pub use metrics::{sampled_stretch, DegreeHistogram, DegreeIncreaseTracker, StretchReservoir};
+use metrics::{STRETCH_CAPACITY, STRETCH_SEED, STRETCH_WINDOW};
 pub use spectral::{GapEstimate, SpectralGapTracker};
 pub use xheal_graph::components::component_count;
 
 /// Construction-time knobs for a [`Monitor`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct MonitorConfig {
     /// Invariant budgets (see [`HealthPolicy`]).
     pub policy: HealthPolicy,
-    /// Stretch-reservoir capacity (sampled sources/targets per estimate).
-    pub stretch_capacity: usize,
-    /// Stretch-reservoir window in topology generations.
-    pub stretch_window: u64,
-    /// Seed for the reservoir's replacement randomness.
-    pub seed: u64,
     /// Additionally chase λ₃ of the normalized Laplacian at checkpoints
     /// (a second deflated Lanczos sweep; see
     /// [`SpectralGapTracker::with_lambda3`]). Off by default.
     pub track_lambda3: bool,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            policy: HealthPolicy::default(),
-            stretch_capacity: 16,
-            stretch_window: 4096,
-            seed: 0x5EED,
-            track_lambda3: false,
-        }
-    }
 }
 
 /// A full checkpoint evaluation: the cheap maintained metrics plus the
@@ -138,8 +125,9 @@ pub struct HealthReport {
     /// bound on `h`. Exactly 0 when the graph is disconnected; `None` for
     /// graphs with fewer than 2 nodes.
     pub expansion: Option<f64>,
-    /// Max stretch over the reservoir sample, `None` when no comparable
-    /// pair was sampled or `G'` lacks a live node.
+    /// Max stretch over the reservoir sample (up to 16 churn-touched nodes
+    /// of the last 4,096 generations), `None` when no comparable pair was
+    /// sampled or `G'` lacks a live node.
     pub stretch: Option<f64>,
 }
 
@@ -193,11 +181,7 @@ impl Monitor {
             degree_increase,
             gprime: GPrime::new(initial),
             unrecorded: 0,
-            reservoir: StretchReservoir::new(
-                config.stretch_capacity,
-                config.stretch_window,
-                config.seed,
-            ),
+            reservoir: StretchReservoir::new(STRETCH_CAPACITY, STRETCH_WINDOW, STRETCH_SEED),
             spectral: if config.track_lambda3 {
                 SpectralGapTracker::with_lambda3()
             } else {
@@ -534,15 +518,12 @@ impl TopologySink for Monitor {
     }
 }
 
-/// Adapter plugging a shared [`Monitor`] into
-/// `xheal_workload::run_observed`: records each insertion of the tape into
+/// A shared [`Monitor`] as a [`RunObserver`] (for
+/// `xheal_workload::run_observed`): records each insertion of the tape into
 /// the monitor's `G'`, checkpoints every `checkpoint_every` events (0
 /// disables) and records drained alerts as per-event [`HealthNote`]s in the
-/// `RunSummary`.
-///
-/// It is also the arena's monitor-backed [`ArenaScorer`]: `attach`
-/// subscribes the monitor to the engine, and `finish` checkpoints once
-/// more and reports the final graph's quality against the tape's `G'`.
+/// run's summary. The engine must feed the same monitor its deltas: build it
+/// with the handle as a sink, or subscribe [`MonitorHook::monitor`].
 #[derive(Debug)]
 pub struct MonitorHook {
     monitor: Rc<RefCell<Monitor>>,
@@ -623,41 +604,6 @@ impl RunObserver for MonitorHook {
     }
 }
 
-impl ArenaScorer for MonitorHook {
-    fn attach(&mut self, engine: &mut dyn HealingEngine) {
-        engine.subscribe(Box::new(Rc::clone(&self.monitor)));
-    }
-
-    /// Checkpoints once more and reports the final quality. The stretch is
-    /// exact: the maximum over all live pairs, from
-    /// `xheal_metrics::stretch` against `G'`, not the checkpoint's sample.
-    fn finish(&mut self, graph: &Graph, summary: &RunSummary) -> ArenaQuality {
-        let mut m = self.monitor.borrow_mut();
-        assert_eq!(
-            (m.node_count(), m.edge_count()),
-            (graph.node_count(), graph.edge_count()),
-            "monitor drifted from the engine graph"
-        );
-        let report = m.checkpoint();
-        let notes = |s| summary.health.iter().filter(|n| n.severity == s).count();
-        ArenaQuality {
-            max_degree: report.max_degree,
-            degree_increase: report.degree_increase,
-            // Like the degree increase, `None` unless `G'` holds every
-            // live node.
-            stretch: report
-                .degree_increase
-                .and_then(|_| stretch(graph, m.gprime().graph(), graph.node_count(), 0)),
-            expansion: report.expansion,
-            spectral_gap: Some(report.spectral_gap.lambda),
-            lambda3: report.lambda3,
-            components: report.components,
-            warn_notes: notes(Severity::Warning),
-            critical_notes: notes(Severity::Critical),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,7 +612,7 @@ mod tests {
     use xheal_graph::{generators, NodeId};
     use xheal_metrics::degree_increase;
     use xheal_spectral::normalized_algebraic_connectivity;
-    use xheal_workload::{run_observed, Adversary, RandomChurn, Severity};
+    use xheal_workload::{run_observed, Adversary, RandomChurn};
 
     fn n(raw: u64) -> NodeId {
         NodeId::new(raw)

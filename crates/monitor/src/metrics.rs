@@ -180,6 +180,16 @@ impl DegreeIncreaseTracker {
     }
 }
 
+/// Capacity of the [`Monitor`](crate::Monitor)'s stretch reservoir: the
+/// sampled sources and targets of each stretch estimate.
+pub(crate) const STRETCH_CAPACITY: usize = 16;
+
+/// Window of the monitor's stretch reservoir, in topology generations.
+pub(crate) const STRETCH_WINDOW: u64 = 4096;
+
+/// Seed of the monitor's reservoir replacement randomness.
+pub(crate) const STRETCH_SEED: u64 = 0x5EED;
+
 /// A windowed reservoir of churn-touched nodes: the sample frame for
 /// on-demand stretch estimation. Touches are O(1); stale entries (older
 /// than `window` generations, or dead) are discarded lazily at sampling

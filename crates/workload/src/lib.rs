@@ -6,15 +6,16 @@
 //! here), [`Adversary`] strategies (random churn, targeted deletion —
 //! including articulation-point hunting by the omniscient adversary —
 //! growth-only, correlated [`BurstDeletions`] rack-failures, and scripted
-//! replays), and the [`run`] driver that feeds any
+//! replays), the [`run`] and [`replay`] drivers that feed any
 //! [`xheal_core::HealingEngine`] while tracking the insertion-only
 //! reference graph `G'` and aggregating the structured
-//! [`xheal_core::Outcome`]s.
+//! [`xheal_core::Outcome`]s ([`run_observed`] adds a per-event
+//! [`xheal_core::RunObserver`]), and the greedy-routing helpers the
+//! end-to-end benchmark drives its routed traffic with.
 //!
-//! The [`run_arena`] harness composes all of it into a cross-algorithm
-//! shoot-out: [`standard_registry`] builds every engine in the workspace,
-//! [`ArenaSchedule::standard`] fixes three seeded adversary tapes, and any
-//! [`ArenaScorer`] turns each run into a trade-off [`ArenaMatrix`] cell.
+//! The crate names no engine: the drivers take any `HealingEngine`, and the
+//! roster of the workspace's ten engines lives with the arena in
+//! `xheal-bench`.
 //!
 //! # Examples
 //!
@@ -35,18 +36,13 @@
 #![warn(missing_docs)]
 
 mod adversary;
-mod arena;
 mod runner;
 mod traffic;
 
 pub use adversary::{
     bfs_rack, Adversary, BurstDeletions, DeleteOnly, InsertOnly, RandomChurn, Scripted, Targeting,
 };
-pub use arena::{
-    run_arena, standard_registry, ArenaCell, ArenaMatrix, ArenaQuality, ArenaSchedule, ArenaScorer,
-    NoScorer,
-};
-pub use runner::{replay, run, run_observed, HealthNote, RunObserver, RunSummary, Severity};
+pub use runner::{replay, run, run_observed, RunSummary};
 pub use traffic::{
     bfs_distance, greedy_next_hop, ring_distance, route_hops, BfsScratch, RoutingRequest,
 };

@@ -1,66 +1,14 @@
 //! Drives a healing engine through an adversary's events, recording `G'`
 //! from the tape alongside and aggregating the structured outcomes.
 
-use std::fmt;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use xheal_core::{Event, HealingEngine, Outcome};
+use xheal_core::{Event, HealingEngine, HealthNote, Outcome, RunObserver, Severity};
 use xheal_graph::Graph;
 use xheal_metrics::GPrime;
 
 use crate::adversary::Adversary;
-
-/// Severity of a [`HealthNote`] recorded during a run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Informational (checkpoints, recoveries).
-    Info,
-    /// A monitored invariant is degrading toward its threshold.
-    Warning,
-    /// A monitored invariant is violated.
-    Critical,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Info => write!(f, "info"),
-            Severity::Warning => write!(f, "warning"),
-            Severity::Critical => write!(f, "critical"),
-        }
-    }
-}
-
-/// One health observation recorded into a [`RunSummary`] by a
-/// [`RunObserver`] (e.g. the `xheal-monitor` invariant monitor).
-#[derive(Clone, Debug)]
-pub struct HealthNote {
-    /// Index of the event (0-based, in application order) the note follows.
-    pub step: usize,
-    /// How bad it is.
-    pub severity: Severity,
-    /// Human-readable description of the observation.
-    pub message: String,
-}
-
-/// Observer hook for [`run_observed`]: called after every applied event
-/// with the structured outcome and the engine's post-repair graph.
-///
-/// Implemented by `xheal-monitor`'s run hook to evaluate live invariant
-/// metrics per event; the notes it drains at the end of the run land in
-/// [`RunSummary::health`].
-pub trait RunObserver {
-    /// Called after `event` was applied (and healed) by the engine.
-    fn on_event(&mut self, step: usize, event: &Event, outcome: &Outcome, graph: &Graph);
-
-    /// Health observations accumulated so far, drained into the summary
-    /// when the run ends.
-    fn drain_notes(&mut self) -> Vec<HealthNote> {
-        Vec::new()
-    }
-}
 
 /// The no-op observer behind plain [`run`].
 struct NoObserver;

@@ -10,11 +10,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rand::{rngs::StdRng, SeedableRng};
-use xheal_core::Xheal;
+use xheal_core::{Severity, Xheal};
 use xheal_examples::{banner, describe, fmt};
 use xheal_graph::generators;
 use xheal_monitor::{HealthPolicy, Monitor, MonitorConfig, MonitorHook};
-use xheal_workload::{run_observed, RandomChurn, Severity};
+use xheal_workload::{run_observed, RandomChurn};
 
 fn main() {
     banner("health dashboard: live invariant monitoring off the delta stream");
@@ -37,7 +37,6 @@ fn main() {
             max_components: Some(1),
         },
         track_lambda3: true,
-        ..MonitorConfig::default()
     };
     let monitor = Rc::new(RefCell::new(Monitor::new(&g0, config)));
     let mut net = Xheal::builder()

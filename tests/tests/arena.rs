@@ -1,6 +1,6 @@
 //! Cross-crate arena integration: DEX invariants under arbitrary churn
-//! (property tests) and the ten-engine arena harness end to end, scored by
-//! the monitor-backed `MonitorHook` so every engine's delta stream is
+//! (property tests) and `xheal-bench`'s ten-engine arena end to end, scored
+//! by the monitor-backed `MonitorHook` so every engine's delta stream is
 //! checked in debug mode and every engine is scored against the tape's `G'`.
 
 use std::cell::RefCell;
@@ -9,15 +9,13 @@ use std::rc::Rc;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use xheal_baselines::StarHeal;
-use xheal_core::{DeltaMirror, Event, HealingEngine, Outcome};
+use xheal_bench::arena::{build_engine, dex_degree_cap, run_arena, ArenaSchedule, ENGINES};
+use xheal_core::{DeltaMirror, Event, HealingEngine, Outcome, RunObserver};
 use xheal_dex::{Dex, DexConfig};
 use xheal_graph::{components, generators, Graph, NodeId};
 use xheal_metrics::{degree_increase, stretch};
 use xheal_monitor::MonitorHook;
-use xheal_workload::{
-    replay, run, run_arena, run_observed, standard_registry, ArenaSchedule, ArenaScorer,
-    BurstDeletions, NoScorer, RandomChurn, RunObserver, Scripted,
-};
+use xheal_workload::{replay, run, run_observed, BurstDeletions, RandomChurn, Scripted};
 
 /// Observer asserting DEX's hard invariants after every applied event:
 /// the constant-degree cap and connectivity.
@@ -132,15 +130,12 @@ proptest! {
     }
 }
 
-/// The full ten-engine arena with the dependency-free scorer: every cell
-/// present, every engine driven through every schedule.
+/// The full ten-engine arena: every cell present, every engine driven
+/// through every schedule.
 #[test]
 fn arena_covers_ten_engines_by_three_schedules() {
     let g0 = generators::ring_with_chords(28);
-    let reg = standard_registry(4);
-    let matrix = run_arena(&reg, &ArenaSchedule::standard(15), &g0, 11, |_, _, _| {
-        NoScorer
-    });
+    let matrix = run_arena(&ArenaSchedule::standard(15), &g0, 11, 0);
     assert!(matrix.is_complete());
     assert_eq!(matrix.cells.len(), 30);
     assert_eq!(matrix.engines().len(), 10);
@@ -149,21 +144,19 @@ fn arena_covers_ten_engines_by_three_schedules() {
 
 /// The monitor-scored arena in debug mode: every engine's delta stream
 /// must keep the monitor's delta-fed mirror exactly in sync (the monitor
-/// `debug_assert`s drift per event), and the scored qualities must be
-/// sane: λ₂/λ₃ ordered, components ≥ 1, degree caps where promised.
+/// `debug_assert`s drift per event), DEX's cap holds after every event
+/// (`run_arena` asserts it), and the scored qualities must be sane: λ₂/λ₃
+/// ordered, components ≥ 1, degree caps where promised.
 #[test]
 fn monitor_scored_arena_is_consistent_for_every_engine() {
     let g0 = generators::ring_with_chords(26);
-    let reg = standard_registry(4);
-    let matrix = run_arena(&reg, &ArenaSchedule::standard(12), &g0, 23, |_, _, g| {
-        MonitorHook::scorer(g, 8)
-    });
+    let matrix = run_arena(&ArenaSchedule::standard(12), &g0, 23, 8);
     assert!(matrix.is_complete());
-    let dex_bound = DexConfig::default().degree * DexConfig::default().max_load;
+    let dex_bound = dex_degree_cap();
     for cell in &matrix.cells {
         let q = &cell.quality;
         assert!(q.components >= 1, "{}/{}", cell.engine, cell.schedule);
-        let gap = q.spectral_gap.expect("scored");
+        let gap = q.spectral_gap;
         if let Some(l3) = q.lambda3 {
             assert!(
                 l3 >= gap - 1e-9,
@@ -179,39 +172,42 @@ fn monitor_scored_arena_is_consistent_for_every_engine() {
 }
 
 /// Every engine on every standard schedule is scored against the tape's
-/// `G'`: the monitor's degree increase equals the recount against
-/// `RunSummary::gprime`, and the scorer's stretch is the exact all-pairs
-/// stretch against it. Engines that install black repair edges, and DEX,
-/// which colours every edge, are no exception.
+/// `G'`: the arena's degree increase equals the recount against
+/// `RunSummary::gprime`, and its stretch is the exact all-pairs stretch
+/// against it. Engines that install black repair edges, and DEX, which
+/// colours every edge, are no exception. The scorer only observes, so an
+/// unscored rerun of each cell ends on the cell's graph.
 #[test]
 fn every_engine_is_scored_against_the_tape_gprime() {
     let g0 = generators::ring_with_chords(26);
-    let reg = standard_registry(4);
-    for sched in ArenaSchedule::standard(12) {
-        for key in reg.keys() {
+    let schedules = ArenaSchedule::standard(12);
+    let matrix = run_arena(&schedules, &g0, 23, 8);
+    for sched in &schedules {
+        for key in ENGINES {
             let ctx = format!("{key}/{}", sched.name);
-            let mut engine = reg.build(key, &g0, 23).expect("registered key");
-            let mut hook = MonitorHook::scorer(engine.graph(), 8);
-            hook.attach(engine.as_mut());
+            let cell = matrix.cell(key, sched.name).expect("complete");
+            let mut engine = build_engine(key, &g0, 23);
             let mut adversary = sched.adversary(&g0);
-            let summary = run_observed(
+            let summary = run(
                 engine.as_mut(),
                 adversary.as_mut(),
                 sched.steps,
                 sched.seed(23),
-                &mut hook,
             );
             let (graph, tape) = (engine.graph(), summary.gprime.graph());
+            assert_eq!(
+                (cell.nodes, cell.edges),
+                (graph.node_count(), graph.edge_count()),
+                "{ctx}"
+            );
             let want = degree_increase(graph, tape);
-            let got = hook.monitor().borrow().degree_increase();
+            let got = cell.quality.degree_increase;
             assert!(
                 got.is_some_and(|d| (d - want).abs() < 1e-12),
                 "{ctx}: monitor {got:?} vs tape {want}"
             );
-            let quality = hook.finish(graph, &summary);
-            assert_eq!(quality.degree_increase, got, "{ctx}");
             assert_eq!(
-                quality.stretch,
+                cell.quality.stretch,
                 stretch(graph, tape, graph.node_count(), 0),
                 "{ctx}"
             );
@@ -228,7 +224,7 @@ fn star_heal_repair_edges_stay_out_of_gprime() {
     let g0 = generators::star(12);
     let mut engine = StarHeal::new(&g0);
     let mut hook = MonitorHook::scorer(engine.graph(), 0);
-    hook.attach(&mut engine);
+    engine.subscribe(Box::new(Rc::clone(hook.monitor())));
     let mut tape = Scripted::new(vec![
         Event::Insert {
             node: n(12),

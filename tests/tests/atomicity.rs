@@ -1,11 +1,11 @@
-//! Error atomicity for every engine in the standard registry: an invalid
+//! Error atomicity for every engine of the arena's roster: an invalid
 //! event returns `Err` and leaves the engine exactly as it was, so a twin
 //! that never saw it stays bit-identical from then on.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use xheal_bench::arena::{build_engine, ENGINES};
 use xheal_core::Event;
 use xheal_graph::{generators, Graph, NodeId};
-use xheal_workload::standard_registry;
 
 const WARMUP: usize = 80;
 const AFTER: usize = 200;
@@ -71,11 +71,9 @@ fn invalid_events(g: &Graph, unused: u64) -> Vec<Event> {
 #[test]
 fn invalid_events_leave_every_engine_unchanged() {
     let g0 = generators::random_regular(64, 6, &mut StdRng::seed_from_u64(11));
-    let registry = standard_registry(4);
-    assert_eq!(registry.len(), 10);
-    for key in registry.keys() {
-        let mut probed = registry.build(key, &g0, 5).expect("registered");
-        let mut twin = registry.build(key, &g0, 5).expect("registered");
+    for key in ENGINES {
+        let mut probed = build_engine(key, &g0, 5);
+        let mut twin = build_engine(key, &g0, 5);
         let mut rng = StdRng::seed_from_u64(0xA70);
         let mut next_id = 1_000;
         for step in 0..WARMUP {

@@ -4,7 +4,7 @@
 //! schedules, and its protocol costs respect Theorem 5's shape.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use xheal_baselines::all_engines;
+use xheal_bench::arena::{build_engine, ENGINES};
 use xheal_core::{Event, HealingEngine, Outcome, Xheal, XhealConfig};
 use xheal_dist::{DistXheal, Msg};
 use xheal_graph::{components, generators};
@@ -115,28 +115,18 @@ fn distributed_message_cost_tracks_degree() {
 
 #[test]
 fn every_engine_runs_behind_the_unified_trait() {
-    // Xheal, DistXheal (at zero latency and under latency), and all five
-    // baselines run behind the same `HealingEngine` trait object, so every
-    // experiment harness accepts any of them.
+    // All ten engines of the arena's roster (the four Xheal executors, DEX
+    // and the five baselines) run behind the same `HealingEngine` trait
+    // object, so every experiment harness accepts any of them.
     let g0 = generators::cycle(12);
-    let mut engines: Vec<Box<dyn HealingEngine>> = vec![
-        Box::new(Xheal::new(&g0, XhealConfig::default())),
-        Box::new(DistXheal::new(&g0, XhealConfig::default())),
-        Box::new(DistXheal::with_engine(
-            &g0,
-            XhealConfig::default(),
-            AsyncNetwork::<Msg>::new(AsyncConfig::uniform(1, 3, 4)),
-        )),
-    ];
-    engines.extend(all_engines(&g0));
-    assert_eq!(engines.len(), 8, "three Xheal executors + five baselines");
-    for h in &mut engines {
+    for key in ENGINES {
+        let mut h = build_engine(key, &g0, 4);
         let mut adv = RandomChurn::new(0.5, 2, 6, &g0);
         let summary = run(h.as_mut(), &mut adv, 20, 2);
-        if h.name() != "no-heal" {
-            assert!(components::is_connected(h.graph()), "{}", h.name());
+        if key != "no-heal" {
+            assert!(components::is_connected(h.graph()), "{key}");
         }
-        assert_eq!(summary.events.len(), 20, "{}", h.name());
+        assert_eq!(summary.events.len(), 20, "{key}");
     }
 }
 
@@ -150,21 +140,12 @@ fn every_engine_is_deterministic_under_the_generic_driver() {
     let mut adv = RandomChurn::new(0.4, 3, 8, &g0);
     let summary = run(&mut schedule_src, &mut adv, 30, 41);
 
-    let build_all = || -> Vec<Box<dyn HealingEngine>> {
-        let cfg = XhealConfig::new(4).with_seed(9);
-        let mut engines: Vec<Box<dyn HealingEngine>> = vec![
-            Box::new(Xheal::new(&g0, cfg.clone())),
-            Box::new(DistXheal::new(&g0, cfg)),
-        ];
-        engines.extend(all_engines(&g0));
-        engines
-    };
-    let mut first = build_all();
-    let mut second = build_all();
-    for (a, b) in first.iter_mut().zip(second.iter_mut()) {
+    for key in ENGINES {
+        let mut a = build_engine(key, &g0, 9);
+        let mut b = build_engine(key, &g0, 9);
         drive(a.as_mut(), &summary.events);
         drive(b.as_mut(), &summary.events);
-        assert_eq!(a.graph(), b.graph(), "{} is not deterministic", a.name());
+        assert_eq!(a.graph(), b.graph(), "{key} is not deterministic");
     }
 }
 
