@@ -369,7 +369,7 @@ impl CellObserver {
                 .and_then(|_| stretch(graph, m.gprime().graph(), graph.node_count(), 0)),
             expansion: report.expansion,
             spectral_gap: report.spectral_gap.lambda,
-            lambda3: report.lambda3,
+            lambda3: report.spectral_gap.lambda3,
             components: report.components,
             warn_notes: notes(Severity::Warning),
             critical_notes: notes(Severity::Critical),

@@ -19,8 +19,9 @@
 //! a transient breach anywhere in the schedule aborts the run.
 //!
 //! Output is `BENCH_arena.json` (schema `xheal-bench-arena/v2`, override
-//! the path with `--out`); `--smoke` shrinks sizes for CI. Run the full
-//! measurement with:
+//! the path with `--out`). `--smoke` shrinks sizes for CI and writes a file
+//! only when given `--out`, so it never replaces the full record. Run the
+//! full measurement with:
 //!
 //! ```text
 //! cargo run --release -p xheal-bench --bin arena
@@ -108,7 +109,7 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .cloned()
-        .unwrap_or_else(|| "BENCH_arena.json".to_string());
+        .or_else(|| (!smoke).then(|| "BENCH_arena.json".to_string()));
 
     let (n0, steps, checkpoint_every) = if smoke {
         (60usize, 40usize, 8usize)
@@ -187,7 +188,12 @@ fn main() {
         );
     }
 
-    let out = json(&matrix, smoke, steps, dex_bound);
-    std::fs::write(&out_path, &out).expect("write arena report");
-    println!("\nwrote {out_path}");
+    match out_path {
+        Some(path) => {
+            let out = json(&matrix, smoke, steps, dex_bound);
+            std::fs::write(&path, out).expect("write arena report");
+            println!("\nwrote {path}");
+        }
+        None => println!("\nsmoke run: no file written (pass --out PATH to keep the JSON)"),
+    }
 }

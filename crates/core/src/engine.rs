@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use xheal_graph::{CloudColor, Graph, NodeId};
+use xheal_graph::{CloudColor, CsrView, EdgeLabels, Graph, NodeId};
 use xheal_trace::SharedTracer;
 
 use crate::batch::BatchReport;
@@ -178,7 +178,10 @@ impl Clone for SinkRegistry {
 ///
 /// Seed it with the engine's initial graph; after every applied event the
 /// mirror's graph equals the engine's graph bit-for-bit (asserted under
-/// arbitrary mixed churn by the `delta_mirror` property suite).
+/// arbitrary mixed churn by the `delta_mirror` property suite). A delta
+/// that cannot apply (a node added twice, an edge to an absent endpoint)
+/// means the stream and the mirror diverged, and panics; replayed strips
+/// and re-added labels change nothing, as on the engine's graph.
 ///
 /// # Examples
 ///
@@ -201,6 +204,8 @@ impl Clone for SinkRegistry {
 #[derive(Clone, Debug)]
 pub struct DeltaMirror {
     graph: Graph,
+    /// Reused buffer for a removed node's incident edges.
+    removed: Vec<(NodeId, EdgeLabels)>,
 }
 
 impl DeltaMirror {
@@ -209,12 +214,20 @@ impl DeltaMirror {
     pub fn new(initial: &Graph) -> Self {
         DeltaMirror {
             graph: initial.clone(),
+            removed: Vec::new(),
         }
     }
 
     /// The reconstructed graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
+    }
+
+    /// The mirror's CSR snapshot, `Graph::csr_view()` of the reconstructed
+    /// graph: equal to the engine's own view whenever the mirror equals the
+    /// engine's graph.
+    pub fn snapshot(&self) -> CsrView {
+        self.graph.csr_view()
     }
 }
 
@@ -225,7 +238,10 @@ impl TopologySink for DeltaMirror {
                 self.graph.add_node(v).expect("mirror: duplicate node");
             }
             TopologyDelta::NodeRemoved(v) => {
-                self.graph.remove_node(v).expect("mirror: absent node");
+                self.removed.clear();
+                self.graph
+                    .remove_node_into(v, &mut self.removed)
+                    .expect("mirror: absent node");
             }
             TopologyDelta::EdgeAdded { a, b, color } => {
                 match color {
@@ -619,6 +635,117 @@ mod tests {
         b.heal_delete(n(1)).unwrap();
         // Only `a`'s deletion reached the mirror.
         assert_eq!(a.graph(), mirror.borrow().graph());
+    }
+
+    /// Asserts the mirror equals `g`, labels included, and snapshots to
+    /// exactly `g.csr_view()`.
+    fn assert_mirrors(mirror: &DeltaMirror, g: &Graph) {
+        mirror.graph().validate().unwrap();
+        assert_eq!(mirror.graph(), g, "mirror differs");
+        let (snap, fresh) = (mirror.snapshot(), g.csr_view());
+        assert_eq!(snap.nodes(), fresh.nodes(), "node spine differs");
+        assert_eq!(snap.offsets(), fresh.offsets(), "offsets differ");
+        assert_eq!(
+            snap.neighbors_flat(),
+            fresh.neighbors_flat(),
+            "adjacency differs"
+        );
+    }
+
+    #[test]
+    fn snapshot_equals_fresh_csr_under_mixed_churn() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut g = generators::connected_erdos_renyi(24, 0.2, &mut rng);
+        let mut mirror = DeltaMirror::new(&g);
+        let mut next = 1000u64;
+        for step in 0..300 {
+            let nodes = g.node_vec();
+            let a = nodes[rng.random_range(0..nodes.len())];
+            let b = nodes[rng.random_range(0..nodes.len())];
+            let c = CloudColor::new(rng.random_range(0..6));
+            match rng.random_range(0..4u32) {
+                0 => {
+                    let v = n(next);
+                    next += 1;
+                    g.add_node(v).unwrap();
+                    mirror.on_delta(&TopologyDelta::NodeAdded(v));
+                    g.add_black_edge(v, a).unwrap();
+                    mirror.on_delta(&TopologyDelta::EdgeAdded {
+                        a: v,
+                        b: a,
+                        color: None,
+                    });
+                }
+                1 if nodes.len() > 4 => {
+                    g.remove_node(a).unwrap();
+                    mirror.on_delta(&TopologyDelta::NodeRemoved(a));
+                }
+                _ if a == b => {}
+                2 => {
+                    g.add_colored_edge(a, b, c).unwrap();
+                    mirror.on_delta(&TopologyDelta::EdgeAdded {
+                        a,
+                        b,
+                        color: Some(c),
+                    });
+                }
+                _ => {
+                    g.strip_color(a, b, c);
+                    mirror.on_delta(&TopologyDelta::EdgeRemoved {
+                        a,
+                        b,
+                        color: Some(c),
+                    });
+                }
+            }
+            if step % 10 == 0 {
+                assert_mirrors(&mirror, &g);
+            }
+        }
+        assert_mirrors(&mirror, &g);
+    }
+
+    #[test]
+    fn replayed_strips_are_noops() {
+        let g = generators::cycle(5);
+        let mut mirror = DeltaMirror::new(&g);
+        let (c, other) = (CloudColor::new(1), CloudColor::new(9));
+        mirror.on_delta(&TopologyDelta::EdgeAdded {
+            a: n(0),
+            b: n(1),
+            color: Some(c),
+        });
+        let before = mirror.graph().clone();
+        for delta in [
+            // A strip of an edge whose endpoint is gone: the plan-replay case.
+            TopologyDelta::EdgeRemoved {
+                a: n(77),
+                b: n(0),
+                color: Some(c),
+            },
+            // A strip of a colour the edge does not carry.
+            TopologyDelta::EdgeRemoved {
+                a: n(0),
+                b: n(1),
+                color: Some(other),
+            },
+            // Re-adds of labels the edge already carries.
+            TopologyDelta::EdgeAdded {
+                a: n(0),
+                b: n(1),
+                color: Some(c),
+            },
+            TopologyDelta::EdgeAdded {
+                a: n(1),
+                b: n(0),
+                color: None,
+            },
+        ] {
+            mirror.on_delta(&delta);
+            assert_eq!(mirror.graph(), &before, "{delta:?} changed the mirror");
+        }
+        assert_mirrors(&mirror, &before);
     }
 
     #[test]

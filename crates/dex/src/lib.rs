@@ -234,7 +234,10 @@ impl Dex {
         for v in self.graph.node_vec() {
             let deg = self.graph.degree(v).unwrap();
             assert!(deg <= bound, "{v} degree {deg} > bound {bound}");
-            assert_eq!(self.graph.black_degree(v), Some(0), "{v} has black edges");
+            assert!(
+                self.graph.black_neighbors(v).is_empty(),
+                "{v} has black edges"
+            );
         }
     }
 

@@ -67,13 +67,6 @@ impl BaselineGraph {
         self.adj.get(&v).map(|n| n.len())
     }
 
-    /// Number of incident *black* edges of `v`, if present.
-    pub fn black_degree(&self, v: NodeId) -> Option<usize> {
-        self.adj
-            .get(&v)
-            .map(|n| n.values().filter(|l| l.is_black()).count())
-    }
-
     /// Iterator over neighbors of `v` (empty if `v` absent), ascending.
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.adj.get(&v).into_iter().flat_map(|n| n.keys().copied())
@@ -468,7 +461,6 @@ mod tests {
             prop_assert_eq!(g.edge_count(), m.edge_count());
             for v in g.node_vec() {
                 prop_assert_eq!(g.degree(v), m.degree(v));
-                prop_assert_eq!(g.black_degree(v), m.black_degree(v));
                 let gn: Vec<NodeId> = g.neighbors(v).collect();
                 let mn: Vec<NodeId> = m.neighbors(v).collect();
                 prop_assert_eq!(gn, mn);
@@ -572,7 +564,6 @@ mod tests {
         g.add_black_edge(n(2), n(0)).unwrap();
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.degree(n(0)), Some(2));
-        assert_eq!(g.black_degree(n(0)), Some(2));
         assert_eq!(g.cut_size(&[n(0)]), 2);
         let incident = g.remove_node(n(0)).unwrap();
         assert_eq!(incident.len(), 2);

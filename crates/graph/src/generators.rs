@@ -296,7 +296,7 @@ mod tests {
         // Edges: horizontal 2*4 + vertical 3*3 = 17.
         assert_eq!(g.edge_count(), 17);
         assert!(components::is_connected(&g));
-        assert_eq!(traversal::distance(&g, id(0), id(11)), Some(5));
+        assert_eq!(traversal::bfs_distances(&g, id(0))[&id(11)], 5);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!
 //! Nodes live in a **slot arena**: an interner maps each [`NodeId`] to a
 //! `u32` slot (O(1) hash lookup on the hot path), each slot holds a sorted
-//! neighbor list `Vec<Nbr>` plus a maintained black-degree counter, and slots
-//! of deleted nodes are recycled through a free list so heavy churn never
-//! grows the arena beyond the peak population. A side `BTreeSet` keeps the
+//! neighbor list `Vec<Nbr>`, and slots of deleted nodes are recycled through
+//! a free list so heavy churn never grows the arena beyond the peak
+//! population. A side `BTreeSet` keeps the
 //! deterministic ascending-`NodeId` iteration order the seeded experiments
 //! replay against — [`Graph::nodes`] and [`Graph::edges`] enumerate in
 //! exactly the order the seed `BTreeMap` representation did (a test-only
@@ -429,7 +429,6 @@ fn prefetch<T>(ptr: *const T, len: usize) {
 struct Slot {
     node: NodeId,
     live: bool,
-    black_degree: u32,
     /// Sorted ascending by neighbor `NodeId`; first entries inline.
     nbrs: NbrList,
 }
@@ -686,13 +685,6 @@ impl Graph {
         self.slot(v).map(|s| s.nbrs.len())
     }
 
-    /// Number of incident *black* edges of `v`, if present.
-    ///
-    /// Maintained as a per-slot counter — O(1), never a label scan.
-    pub fn black_degree(&self, v: NodeId) -> Option<usize> {
-        self.slot(v).map(|s| s.black_degree as usize)
-    }
-
     /// Iterator over neighbors of `v` (empty if `v` absent), ascending.
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.slot(v)
@@ -752,7 +744,6 @@ impl Graph {
                 self.slots.push(Slot {
                     node: v,
                     live: true,
-                    black_degree: 0,
                     nbrs: NbrList::default(),
                 });
                 self.stamps.of.push(0);
@@ -821,9 +812,6 @@ impl Graph {
             let pu = slots[su].nbrs.search(v).expect("mirror entry");
             slots[su].nbrs.remove(pu);
             stamps.touch(su);
-            if nbr.labels.is_black() {
-                slots[su].black_degree -= 1;
-            }
             *edge_count -= 1;
             out.push((nbr.id, nbr.labels));
         });
@@ -832,7 +820,6 @@ impl Graph {
         // warmed capacity instead of reallocating from zero.
         slot.nbrs = nbrs;
         slot.live = false;
-        slot.black_degree = 0;
         self.index.remove(v);
         self.ordered.remove(&v);
         self.free.push(sv as u32);
@@ -854,18 +841,10 @@ impl Graph {
         let slot = &mut self.slots[su as usize];
         match Self::find_nbr(slot, v) {
             Ok(p) => {
-                let l = &mut slot.nbrs.get_mut(p).labels;
-                let was_black = l.is_black();
-                l.merge(labels);
-                if !was_black && l.is_black() {
-                    slot.black_degree += 1;
-                }
+                slot.nbrs.get_mut(p).labels.merge(labels);
                 false
             }
             Err(p) => {
-                if labels.is_black() {
-                    slot.black_degree += 1;
-                }
                 slot.nbrs.insert(
                     p,
                     Nbr {
@@ -935,14 +914,8 @@ impl Graph {
         };
         let sv = self.slots[su].nbrs.get(pu).slot as usize;
         let entry = self.slots[su].nbrs.get_mut(pu);
-        let was_black = entry.labels.is_black();
         strip(&mut entry.labels);
-        let now_black = entry.labels.is_black();
         let empty = entry.labels.is_empty();
-        if was_black && !now_black {
-            self.slots[su].black_degree -= 1;
-            self.slots[sv].black_degree -= 1;
-        }
         let pv = Self::find_nbr(&self.slots[sv], u).expect("mirror entry");
         if empty {
             self.slots[su].nbrs.remove(pu);
@@ -992,10 +965,6 @@ impl Graph {
         self.slots[sv].nbrs.remove(pv);
         self.stamps.touch(su);
         self.stamps.touch(sv);
-        if nbr.labels.is_black() {
-            self.slots[su].black_degree -= 1;
-            self.slots[sv].black_degree -= 1;
-        }
         self.edge_count -= 1;
         Ok(nbr.labels)
     }
@@ -1152,7 +1121,7 @@ impl Graph {
 
     /// Consistency check used by tests and debug assertions: adjacency is
     /// symmetric, labels mirror, neighbor lists sorted, no self-loops,
-    /// maintained counters and the free list agree with reality.
+    /// the edge count and the free list agree with reality.
     pub fn validate(&self) -> Result<(), String> {
         if self.index.len() != self.ordered.len() {
             return Err("index/ordered size mismatch".into());
@@ -1185,7 +1154,6 @@ impl Graph {
             if !s.nbrs.tail.is_empty() && (s.nbrs.head_len as usize) < NBR_INLINE {
                 return Err(format!("spilled neighbor list with non-full head at {u}"));
             }
-            let mut black = 0u32;
             let mut prev: Option<NodeId> = None;
             for nbr in s.nbrs.iter() {
                 if prev.is_some_and(|p| p >= nbr.id) {
@@ -1201,9 +1169,6 @@ impl Graph {
                 if nbr.labels.is_empty() {
                     return Err(format!("empty labels on ({u},{v})"));
                 }
-                if nbr.labels.is_black() {
-                    black += 1;
-                }
                 let ms = &self.slots[nbr.slot as usize];
                 if !ms.live || ms.node != v {
                     return Err(format!("stale neighbor slot on ({u},{v})"));
@@ -1217,12 +1182,6 @@ impl Graph {
                 if u < v {
                     count += 1;
                 }
-            }
-            if black != s.black_degree {
-                return Err(format!(
-                    "black degree counter {} != {} at {u}",
-                    s.black_degree, black
-                ));
             }
         }
         if count != self.edge_count {
@@ -1328,12 +1287,8 @@ impl Graph {
         match slot.nbrs.search(other) {
             Ok(p) => {
                 let entry = slot.nbrs.get_mut(p);
-                let was_black = entry.labels.is_black();
                 Self::apply_op(&mut entry.labels, op);
-                let now_black = entry.labels.is_black();
                 let gone = entry.labels.is_empty();
-                slot.black_degree =
-                    (slot.black_degree as i64 + now_black as i64 - was_black as i64) as u32;
                 if gone {
                     slot.nbrs.remove(p);
                     self.stamps.touch(slot_ix as usize);
@@ -1349,9 +1304,6 @@ impl Graph {
                 Self::apply_op(&mut labels, op);
                 if labels.is_empty() {
                     return 0;
-                }
-                if labels.is_black() {
-                    slot.black_degree += 1;
                 }
                 slot.nbrs.insert(
                     p,
@@ -1598,7 +1550,7 @@ mod tests {
         let g = triangle();
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.degree(n(0)), Some(2));
-        assert_eq!(g.black_degree(n(0)), Some(2));
+        assert_eq!(g.black_neighbors(n(0)), vec![n(1), n(2)]);
         assert!(g.edge_labels(n(0), n(1)).unwrap().is_black());
         g.validate().unwrap();
     }
@@ -1691,7 +1643,6 @@ mod tests {
         g.strip_black(n(0), n(1));
         assert_eq!(g.black_neighbors(n(0)), vec![n(2)]);
         assert_eq!(g.colored_neighbors(n(0), c), vec![n(1)]);
-        assert_eq!(g.black_degree(n(0)), Some(1));
         assert_eq!(g.degree(n(0)), Some(2));
     }
 
@@ -1741,22 +1692,6 @@ mod tests {
     }
 
     #[test]
-    fn black_degree_counter_survives_label_churn() {
-        let mut g = triangle();
-        let c = CloudColor::new(4);
-        // Toggle black off and on under an added color.
-        g.add_colored_edge(n(0), n(1), c).unwrap();
-        g.strip_black(n(0), n(1));
-        assert_eq!(g.black_degree(n(0)), Some(1));
-        assert_eq!(g.black_degree(n(1)), Some(1));
-        g.add_black_edge(n(0), n(1)).unwrap();
-        assert_eq!(g.black_degree(n(0)), Some(2));
-        g.remove_edge(n(0), n(1)).unwrap();
-        assert_eq!(g.black_degree(n(0)), Some(1));
-        g.validate().unwrap();
-    }
-
-    #[test]
     fn semantic_equality_ignores_arena_history() {
         // Same final topology via different churn histories.
         let mut a = triangle();
@@ -1799,9 +1734,6 @@ mod tests {
         bulk.validate().unwrap();
         assert_eq!(bulk, seq);
         assert_eq!(bulk.edge_count(), seq.edge_count());
-        for v in seq.node_vec() {
-            assert_eq!(bulk.black_degree(v), seq.black_degree(v), "black deg {v}");
-        }
     }
 
     #[test]

@@ -72,34 +72,6 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> BTreeMap<NodeId, u32> {
         .collect()
 }
 
-/// Shortest-path distance between `u` and `v`, or `None` if disconnected or
-/// either endpoint is absent.
-pub fn distance(g: &Graph, u: NodeId, v: NodeId) -> Option<u32> {
-    let csr = g.csr_view();
-    let s = csr.index_of(u)?;
-    let t = csr.index_of(v)?;
-    if s == t {
-        return Some(0);
-    }
-    // Early-exit BFS.
-    let mut dist = vec![UNSEEN; csr.len()];
-    let mut queue = VecDeque::from([s as u32]);
-    dist[s] = 0;
-    while let Some(x) = queue.pop_front() {
-        let dx = dist[x as usize];
-        for &y in csr.neighbors_of(x as usize) {
-            if y as usize == t {
-                return Some(dx + 1);
-            }
-            if dist[y as usize] == UNSEEN {
-                dist[y as usize] = dx + 1;
-                queue.push_back(y);
-            }
-        }
-    }
-    None
-}
-
 /// Diameter of the graph restricted to reachable pairs, or `None` for an
 /// empty graph. For a disconnected graph this is the max of the component
 /// diameters (infinite pairs are ignored; use [`crate::components::is_connected`]
@@ -145,15 +117,17 @@ mod tests {
     fn distance_handles_same_node_and_disconnection() {
         let mut g = generators::path(3);
         g.add_node(n(77)).unwrap();
-        assert_eq!(distance(&g, n(1), n(1)), Some(0));
-        assert_eq!(distance(&g, n(0), n(77)), None);
-        assert_eq!(distance(&g, n(0), n(2)), Some(2));
+        let d = bfs_distances(&g, n(1));
+        assert_eq!(d[&n(1)], 0);
+        let d = bfs_distances(&g, n(0));
+        assert_eq!(d.get(&n(77)), None);
+        assert_eq!(d[&n(2)], 2);
     }
 
     #[test]
     fn cycle_distance_wraps() {
         let g = generators::cycle(8);
-        assert_eq!(distance(&g, n(0), n(5)), Some(3));
+        assert_eq!(bfs_distances(&g, n(0))[&n(5)], 3);
         assert_eq!(diameter(&g), Some(4));
     }
 

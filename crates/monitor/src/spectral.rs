@@ -74,11 +74,6 @@ impl SpectralGapTracker {
         }
     }
 
-    /// Whether this tracker chases λ₃ in addition to λ₂.
-    pub fn tracks_lambda3(&self) -> bool {
-        self.track_lambda3
-    }
-
     /// Estimates λ₂ of the normalized Laplacian of `csr`, warm-started from
     /// the previous call's Fiedler vector, and keeps the new vector for the
     /// next call and for [`SpectralGapTracker::cheeger_sweep`]. When λ₃
@@ -282,7 +277,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(19);
         let mut g = generators::random_regular(60, 6, &mut rng);
         let mut tr = SpectralGapTracker::with_lambda3();
-        assert!(tr.tracks_lambda3());
         for round in 0..3 {
             let est = tr.estimate(&g.csr_view());
             let (_, m) = normalized_laplacian_dense(&g);
@@ -309,7 +303,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let g = generators::random_regular(40, 4, &mut rng);
         let mut tr = SpectralGapTracker::new();
-        assert!(!tr.tracks_lambda3());
         assert!(tr.estimate(&g.csr_view()).lambda3.is_none());
     }
 

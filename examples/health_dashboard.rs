@@ -72,10 +72,9 @@ fn main() {
         report.generation, report.nodes, report.edges, summary.insertions, summary.deletions
     );
     println!(
-        "degree: max {} (mean {}), black max {}, degree-increase vs G' {}",
+        "degree: max {} (mean {}), degree-increase vs G' {}",
         report.max_degree,
         fmt(report.mean_degree),
-        report.max_black_degree,
         report.degree_increase.map_or("n/a".into(), fmt)
     );
     println!(
@@ -83,7 +82,7 @@ fn main() {
         report.components,
         fmt(report.spectral_gap.lambda),
         report.spectral_gap.restarts,
-        report.lambda3.map_or("n/a".into(), fmt),
+        report.spectral_gap.lambda3.map_or("n/a".into(), fmt),
         report.expansion.map_or("n/a".into(), fmt),
         report.stretch.map_or("n/a".into(), fmt),
     );
